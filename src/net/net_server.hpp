@@ -58,7 +58,9 @@
 #include <vector>
 
 #include "src/harness/fault.hpp"
+#include "src/harness/timing.hpp"
 #include "src/net/wire.hpp"
+#include "src/serve/config.hpp"
 #include "src/serve/request.hpp"
 #include "src/serve/server.hpp"
 
@@ -69,7 +71,6 @@ struct NetServerConfig {
   int backlog = 128;
   std::size_t max_frame = kDefaultMaxFrame;
   std::size_t slots_per_connection = 64;  // in-flight depth bound
-  int idle_poll_ms = 50;         // epoll timeout with nothing in flight
   // Frames parsed from one read batch are staged and published together
   // through KvServer::submit_many — one ring reservation per node per
   // batch instead of one per frame.  This caps the stage depth; 1 degrades
@@ -139,23 +140,27 @@ class NetServer {
   std::uint64_t protocol_errors() const {
     return proto_errors_.load(std::memory_order_relaxed);
   }
+  // Times the event loop blocked after its idle grace ran out (never under
+  // ParkPolicy::kSpin); mirrors WorkerPool::parks().
+  std::uint64_t loop_parks() const {
+    return loop_parks_.load(std::memory_order_relaxed);
+  }
 
   // Stops accepting, waits for every in-flight slot to resolve, flushes
   // what can be flushed, closes all connections, joins the loop thread.
   // Idempotent; the destructor calls it.  Stop the NetServer *before*
   // shutting down the KvServer — in-flight latches need its workers.
   void stop() {
-    if (!ok_) {
-      close_all_listener_fds();
-      return;
-    }
     bool expected = false;
-    if (stopping_.compare_exchange_strong(expected, true)) {
+    if (ok_ && stopping_.compare_exchange_strong(expected, true)) {
       const std::uint64_t one = 1;
       [[maybe_unused]] const ssize_t n =
           ::write(wake_fd_, &one, sizeof one);
     }
     if (loop_.joinable()) loop_.join();
+    // Closed only after the join: a spinning loop can see stopping_ and
+    // exit before the wake write above lands, so it must not own these.
+    close_all_listener_fds();
   }
 
  private:
@@ -231,16 +236,32 @@ class NetServer {
   // ---- the loop -------------------------------------------------------------
 
   void event_loop() {
+    // Idle policy of the worker pools (DESIGN.md §12): after the last
+    // round that made progress, keep polling with timeout 0 for the park
+    // grace, then block until an event or stop()'s wake_fd_ write.  The
+    // grace runs on the free now_ns(), never the injectable ClockSource, so
+    // a frozen VirtualClock cannot pin the loop in its spin phase.
+    const serve::ServeConfig& sc = kv_.config();
+    const bool may_park = sc.park_policy == serve::ParkPolicy::kFutex;
+    const std::uint64_t grace_ns = sc.park_grace_ns;
+    std::uint64_t idle_since = 0;  // 0: the last round made progress
     std::vector<epoll_event> events(64);
     for (;;) {
       const bool busy = total_in_flight_ > 0;
       if (stopping_.load(std::memory_order_acquire) && quiescent()) break;
-      const int timeout =
-          busy || stopping_.load(std::memory_order_relaxed)
-              ? 0
-              : cfg_.idle_poll_ms;
+      bool park = false;
+      if (may_park && !busy && !stopping_.load(std::memory_order_relaxed)) {
+        const std::uint64_t t = now_ns();
+        if (idle_since == 0) {
+          idle_since = t;
+        } else if (t - idle_since >= grace_ns) {
+          park = true;
+          loop_parks_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
       const int n = ::epoll_wait(epoll_fd_, events.data(),
-                                 static_cast<int>(events.size()), timeout);
+                                 static_cast<int>(events.size()),
+                                 park ? -1 : 0);
       bool progressed = false;
       for (int i = 0; i < n; ++i) {
         const std::uint64_t tag = events[static_cast<std::size_t>(i)].data.u64;
@@ -257,17 +278,18 @@ class NetServer {
       }
       progressed |= sweep_completions();
       reap_closed();
-      // Single-core friendliness: when a poll cycle achieved nothing but
-      // latches are still pending, yield so the pinned workers that will
-      // resolve them actually get the CPU.
-      if (busy && !progressed) std::this_thread::yield();
+      if (progressed || park) idle_since = 0;  // fresh grace after a wake
+      // Single-core friendliness: a round that achieved nothing yields, so
+      // the pinned workers that will resolve pending latches (or the peer
+      // about to send) actually get the CPU.
+      if (!progressed) std::this_thread::yield();
     }
     // Shutdown: every slot has resolved (quiescent), responses that could
-    // be flushed were flushed opportunistically by the sweep; close.
+    // be flushed were flushed opportunistically by the sweep; close the
+    // connections (stop() closes the listener, epoll and wake fds).
     for (auto& up : conns_)
       if (up && up->fd >= 0) ::close(up->fd);
     conns_.clear();
-    close_all_listener_fds();
   }
 
   bool quiescent() { return total_in_flight_ == 0; }
@@ -896,6 +918,7 @@ class NetServer {
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> proto_errors_{0};
+  std::atomic<std::uint64_t> loop_parks_{0};
   std::size_t total_in_flight_ = 0;  // loop-thread only
   std::vector<std::unique_ptr<Connection>> conns_;  // loop-thread only
   // flush_staged scratch (loop-thread only), sized submit_batch once.

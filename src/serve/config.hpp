@@ -27,11 +27,12 @@ class ClockSource;  // src/harness/timing.hpp
 
 namespace bjrw::serve {
 
-// How an idle elastic worker waits for work (DESIGN.md §12).
+// How an idle serving thread waits for work (DESIGN.md §12).
 enum class ParkPolicy : std::uint8_t {
-  kFutex,  // std::atomic wait/notify (a futex on Linux): parked workers
-           // block and cost nothing until a submitter or shutdown wakes them
-  kSpin,   // never block: idle workers keep yield-spinning (the pre-elastic
+  kFutex,  // block after park_grace_ns: parked workers wait on a futex
+           // (std::atomic wait/notify) until a submitter or shutdown wakes
+           // them; the NetServer loop blocks in epoll_wait until an event
+  kSpin,   // never block: idle threads keep yield-spinning (the pre-elastic
            // behavior; the right choice for latency-critical pinned setups)
 };
 
@@ -58,10 +59,15 @@ struct ServeConfig {
   std::size_t burst = 1;
 
   // ---- elasticity (DESIGN.md §12) -------------------------------------------
+  // Both knobs govern every serving thread: the elastic workers and the
+  // NetServer event loop (DESIGN.md §10).
   ParkPolicy park_policy = ParkPolicy::kFutex;
-  // How long a worker beyond min_width tolerates an empty queue before
-  // parking.  Too short thrashes the futex under bursty arrivals; too long
-  // keeps idle spinners hot.  100us ≈ a few thousand failed polls.
+  // How long an idle serving thread keeps polling before it blocks: a
+  // worker beyond min_width on an empty queue (futex park), and the
+  // NetServer event loop with nothing in flight since its last progress
+  // (epoll_wait with no timeout).  Too short puts a wake-up back on
+  // closed-loop round trips and thrashes the futex under bursty arrivals;
+  // too long keeps idle spinners hot.  100us ≈ a few thousand failed polls.
   std::uint64_t park_grace_ns = 100'000;
 
   // ---- admission (DESIGN.md §12) --------------------------------------------

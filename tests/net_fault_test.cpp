@@ -174,8 +174,6 @@ TEST(NetFault, ServerSurvivesPeerKilledMidWrite) {
 // ---- end-to-end integrity under injected faults ------------------------------
 
 TEST(NetFault, ShortSplitCoalescedAndDelayedIoPreservesIntegrity) {
-  Loopback lb;
-  ASSERT_TRUE(lb.net.ok());
   FaultPlan plan;
   plan.seed = test_seed(0xFA);  // BJRW_TEST_SEED replays the schedule
   plan.short_read_prob = 0.6;
@@ -185,6 +183,11 @@ TEST(NetFault, ShortSplitCoalescedAndDelayedIoPreservesIntegrity) {
   plan.delay_ns = 20'000;
   FaultInjector fi(plan);
   ScopedFaultInjection guard(fi);
+  // Declared after the injector so it is destroyed first: stop() joins
+  // the event loop, which may still be inside fi's send when the last
+  // response has reached the client.
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
 
   ClientConfig cfg;
   cfg.op_timeout_ms = 10'000;  // faults slow ops down, never hang them
@@ -228,13 +231,16 @@ TEST(NetFault, ShortSplitCoalescedAndDelayedIoPreservesIntegrity) {
 }
 
 TEST(NetFault, ConnectionResetAtOffsetIsSurvivedByReconnect) {
-  Loopback lb;
-  ASSERT_TRUE(lb.net.ok());
   FaultPlan plan;
   plan.seed = test_seed(0xCE);
   plan.reset_write_at = 100;  // every stream dies ~3 frames in
   FaultInjector fi(plan);
   ScopedFaultInjection guard(fi);
+  // Declared after the injector so it is destroyed first: stop() joins
+  // the event loop, which may still be inside fi's send when the last
+  // response has reached the client.
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
 
   ClientConfig cfg;
   cfg.op_timeout_ms = 5'000;

@@ -3,8 +3,9 @@
 // get/put/erase/get_many roundtrips (empty batch included), multi-node
 // batches on a simulated 2x4 topology, pipelined out-of-order id
 // correlation, protocol-error replies (oversized frame, bad magic,
-// unknown type), concurrent clients, and orderly server stop.  The CI
-// stress matrix also runs this binary under ThreadSanitizer.
+// unknown type), concurrent clients, the event loop's spin-then-park idle
+// policy, and orderly server stop.  The CI stress matrix also runs this
+// binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -446,6 +447,53 @@ TEST(NetLoopback, VersionNegotiationMatrix) {
     EXPECT_EQ((*got)[0].value_or(0), 9u);
     EXPECT_FALSE((*got)[1].has_value());
   }
+}
+
+// Idles for at least 10x the park grace, then keeps waiting (bounded) until
+// the event loop has parked: an oversubscribed or sanitized run may not
+// schedule the loop's two grace-spaced idle rounds within the first sleep.
+void idle_until_loop_parks(Loopback& lb) {
+  const auto grace =
+      std::chrono::nanoseconds(lb.kv.config().park_grace_ns);
+  std::this_thread::sleep_for(10 * grace);
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  while (lb.net.loop_parks() == 0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(grace);
+}
+
+TEST(NetLoopback, IdleEventLoopParksAndStillAnswers) {
+  Loopback lb;  // default ParkPolicy::kFutex, 100us grace
+  ASSERT_TRUE(lb.net.ok());
+  KvClient c = lb.client();
+  ASSERT_TRUE(c.put(7, 70));
+  idle_until_loop_parks(lb);
+  EXPECT_GE(lb.net.loop_parks(), 1u);
+  // The parked loop is woken by the request's own EPOLLIN.
+  EXPECT_EQ(c.get(7).value_or(0), 70u);
+}
+
+TEST(NetLoopback, SpinPolicyEventLoopNeverParks) {
+  Loopback lb({}, Loopback::server_config().with_park(
+                      serve::ParkPolicy::kSpin, 100'000));
+  ASSERT_TRUE(lb.net.ok());
+  KvClient c = lb.client();
+  ASSERT_TRUE(c.put(7, 70));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // 50 graces
+  EXPECT_EQ(c.get(7).value_or(0), 70u);
+  EXPECT_EQ(lb.net.loop_parks(), 0u);
+}
+
+TEST(NetLoopback, StopWakesParkedEventLoop) {
+  auto lb = std::make_unique<Loopback>();
+  ASSERT_TRUE(lb->net.ok());
+  KvClient c = lb->client();
+  ASSERT_TRUE(c.put(7, 70));
+  idle_until_loop_parks(*lb);
+  ASSERT_GE(lb->net.loop_parks(), 1u);
+  lb->net.stop();  // must return: the wake eventfd unblocks epoll_wait
+  EXPECT_FALSE(KvClient::connect(lb->net.port()).has_value());
 }
 
 TEST(NetLoopback, StopDrainsInFlightAndRefusesNewConnections) {

@@ -183,8 +183,12 @@ TEST(RmrComplexity, BigReaderWriterGrowsLinearlyWithReaders) {
   const auto large = measure_rmr<InstBrl>(/*readers=*/16, /*writers=*/1, 20);
   EXPECT_GE(large.max_writer_rmr, 2 * small.max_writer_rmr)
       << "big-reader writer should scale with reader count";
-  // ... while its readers stay local.
-  EXPECT_LE(large.max_reader_rmr, kConstBound);
+  // ... while its readers stay local.  Measured with no writer running: a
+  // reader that meets an active writer stands down and retries, paying
+  // fresh misses per retry, so its charge beside a writer counts how often
+  // the scheduler interleaved the two, not how many readers there are.
+  const auto readers_only = measure_rmr<InstBrl>(/*readers=*/16, 0, 20);
+  EXPECT_LE(readers_only.max_reader_rmr, kConstBound);
 }
 
 TEST(RmrComplexity, PaperLocksFlatWhileBaselineGrows) {
