@@ -2,7 +2,7 @@
 // get_many/put wire-request mix driven (a) straight into KvServer's
 // submit/complete pipeline in-process (the E18 path: one sync round trip
 // per wire request per client thread) and (b) over loopback TCP through
-// the versioned wire protocol and the epoll front-end (src/net/), at
+// the wire protocol and the epoll front-end (src/net/), at
 // pipelining depths 1/4/16.
 //
 // Both arms consume the *identical* pre-generated wire-request lists

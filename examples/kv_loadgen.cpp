@@ -11,8 +11,8 @@
 //                [--ttl <fraction> <ttl_ms>] [--timeout <ms>]
 //                [--deadline <ms>] [--retries <n>]
 //
-// --ttl F M turns fraction F of the puts into TTL'd puts (wire v3
-// kPutTtlReq) with an M-millisecond lease — the expiry-storm driver for a
+// --ttl F M turns fraction F of the puts into TTL'd puts (kPutTtlReq)
+// with an M-millisecond lease — the expiry-storm driver for a
 // `kv_server --listen <port> 0 --expiry` server.  The op mix is seeded;
 // set BJRW_TEST_SEED to override the seed, so two runs (with or without
 // --ttl: the TTL coin has its own generator) replay the identical
@@ -20,10 +20,13 @@
 //
 // --timeout M bounds each wire round trip at M milliseconds (a hung or
 // wedged server costs M, not forever); --deadline M attaches an M-ms
-// deadline budget to every request (wire v4) so the server refuses or
-// drops work it cannot finish in time; --retries N allows each op N total
-// attempts with jittered exponential backoff on shed/queue-full refusals
-// (deadline refusals are never retried — the budget is already gone).
+// deadline budget to every request so the server refuses or drops work it
+// cannot finish in time; --retries N allows each op N total attempts with
+// jittered exponential backoff on shed/queue-full refusals (deadline
+// refusals are never retried — the budget is already gone).  --timeout
+// and --retries take non-negative integers; anything else exits 2.
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +37,22 @@
 #include "src/harness/stats.hpp"
 #include "src/harness/table.hpp"
 #include "src/net/loadgen.hpp"
+
+namespace {
+
+// Parses a non-negative decimal integer no larger than `max`; rejects
+// signs, blanks, trailing junk and overflow.
+bool parse_count(const char* s, std::uint64_t max, std::uint64_t* out) {
+  if (*s < '0' || *s > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno != 0 || *end != '\0' || v > max) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -62,16 +81,24 @@ int main(int argc, char** argv) {
       i += 2;
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
       if (!need(1, "<ms>")) return 2;
-      cfg.op_timeout_ms = static_cast<std::uint64_t>(std::atol(argv[i + 1]));
+      if (!parse_count(argv[i + 1], UINT64_MAX, &cfg.client.op_timeout_ms)) {
+        std::cerr << "kv_loadgen: --timeout needs a non-negative integer\n";
+        return 2;
+      }
       i += 1;
     } else if (std::strcmp(argv[i], "--deadline") == 0) {
       if (!need(1, "<ms>")) return 2;
-      cfg.deadline_budget_ns =
+      cfg.client.deadline_budget_ns =
           static_cast<std::uint64_t>(std::atof(argv[i + 1]) * 1e6);
       i += 1;
     } else if (std::strcmp(argv[i], "--retries") == 0) {
       if (!need(1, "<n>")) return 2;
-      cfg.retry.max_attempts = std::atoi(argv[i + 1]);
+      std::uint64_t n = 0;
+      if (!parse_count(argv[i + 1], INT_MAX, &n)) {
+        std::cerr << "kv_loadgen: --retries needs a non-negative integer\n";
+        return 2;
+      }
+      cfg.client.retry.max_attempts = static_cast<int>(n);
       i += 1;
     } else {
       std::cerr << "kv_loadgen: unknown flag " << argv[i] << "\n";
@@ -93,12 +120,13 @@ int main(int argc, char** argv) {
   if (cfg.mix.ttl_fraction > 0.0 && cfg.mix.ttl_ns > 0)
     std::cout << ", ttl " << cfg.mix.ttl_fraction << " x "
               << static_cast<double>(cfg.mix.ttl_ns) / 1e6 << " ms";
-  if (cfg.op_timeout_ms > 0)
-    std::cout << ", timeout " << cfg.op_timeout_ms << " ms";
-  if (cfg.deadline_budget_ns > 0)
+  if (cfg.client.op_timeout_ms > 0)
+    std::cout << ", timeout " << cfg.client.op_timeout_ms << " ms";
+  if (cfg.client.deadline_budget_ns > 0)
     std::cout << ", deadline "
-              << static_cast<double>(cfg.deadline_budget_ns) / 1e6 << " ms";
-  std::cout << ", attempts " << cfg.retry.max_attempts << "\n";
+              << static_cast<double>(cfg.client.deadline_budget_ns) / 1e6
+              << " ms";
+  std::cout << ", attempts " << cfg.client.retry.max_attempts << "\n";
 
   bjrw::net::LoadgenResult res = bjrw::net::run_loadgen(cfg);
   if (!res.ok) {

@@ -10,13 +10,13 @@
 // Two modes:
 //   ./kv_server [clients] [requests_per_client]   in-process demo traffic
 //   ./kv_server --listen [port] [admit_rate] [--expiry [resolution_ms]]
-//       socket front-end: serve the versioned wire protocol (src/net/) on
+//       socket front-end: serve the wire protocol (src/net/wire.hpp) on
 //       127.0.0.1 until SIGINT; port 0 (the default) picks an ephemeral
 //       port and prints it.  admit_rate > 0 arms the per-node token bucket
 //       (ops/s) so overload runs shed instead of queueing.  --expiry arms
-//       the lease/TTL subsystem (src/expiry/): wire v3 TTL'd puts schedule
-//       leases on the per-node timer wheels and the worker pools' sweep
-//       lane deletes them as they fall due.  Drive it with
+//       the lease/TTL subsystem (src/expiry/): TTL'd puts (kPutTtlReq)
+//       schedule leases on the per-node timer wheels and the worker pools'
+//       sweep lane deletes them as they fall due.  Drive it with
 //       ./kv_loadgen <port> ... --ttl <fraction> <ttl_ms>.
 #include <csignal>
 #include <algorithm>

@@ -9,12 +9,13 @@
 // hung or stalled server surfaces as a typed kTimeout instead of a
 // wedged-forever recv loop.  A transport failure mid-frame leaves the
 // stream unsynchronizable, so the client closes the socket and reports why
-// (last_error()); the synchronous conveniences then run a jittered
-// exponential-backoff retry loop (RetryPolicy) that honors the server's
+// (last_error()).  One function, settle(), decides every op's fate under a
+// jittered exponential-backoff RetryPolicy that honors the server's
 // refusal semantics — kShed backs off fully, kQueueFull retries sooner,
 // kDeadline gives up — and reconnects after resets (every current op is
-// idempotent, so a resend after an ambiguous failure is safe).  All I/O
-// rides the transport_read/transport_send seam (src/harness/fault.hpp):
+// idempotent, so a resend after an ambiguous failure is safe).  The
+// synchronous conveniences and the loadgen's pipelines both call it.  All
+// I/O rides the transport_read/transport_send seam (src/harness/fault.hpp):
 // sends carry MSG_NOSIGNAL, and tests splice deterministic faults in.
 #pragma once
 
@@ -31,6 +32,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -48,15 +50,14 @@ namespace bjrw::net {
 struct Response {
   std::uint64_t id = 0;
   MsgType type = MsgType::kErrorResp;
-  // v2 admission status (always kOk on frames from a v1 server); a non-kOk
-  // data response carries no payload.
+  // Admission status; a non-kOk data response carries no payload.
   WireStatus status = WireStatus::kOk;
   // kGetResp
   bool found = false;
   std::uint64_t value = 0;
   // kEraseResp
   bool erased = false;
-  // kTouchResp (v3+)
+  // kTouchResp
   bool touched = false;
   // kGetManyResp
   std::vector<std::optional<std::uint64_t>> values;
@@ -73,8 +74,8 @@ enum class ClientError : std::uint8_t {
   kProtocol,  // unparseable frame from a trusted server
 };
 
-// Backoff/retry shape for the synchronous conveniences.  Attempt k (0-
-// based) that was refused sleeps base_backoff_ns * 2^k, clamped to
+// Backoff/retry shape applied by KvClient::settle.  Attempt k (0-based)
+// that was refused sleeps base_backoff_ns * 2^k, clamped to
 // max_backoff_ns, scaled by queue_full_scale when the refusal was
 // kQueueFull (a draining queue recovers faster than an empty token
 // bucket), and jittered uniformly into [0.5, 1.0) of itself so a fleet of
@@ -89,31 +90,29 @@ struct RetryPolicy {
 };
 
 struct ClientConfig {
-  std::uint16_t version = kVersion;
   // Per-op wall budget for flush+recv, 0 = wait forever (the historical
-  // blocking behavior).  On expiry the op fails kTimeout and the socket
-  // closes — a half-read frame cannot be resynchronized.
+  // blocking behavior); budgets past the clock's range also never expire.
+  // On expiry the op fails kTimeout and the socket closes — a half-read
+  // frame cannot be resynchronized.
   std::uint64_t op_timeout_ms = 0;
-  // v4+: relative deadline budget attached to every packed request (0 =
-  // none).  The server converts it to an absolute deadline on its clock.
+  // Relative deadline budget attached to every packed request (0 = none).
+  // The server converts it to an absolute deadline on its clock.
   std::uint64_t deadline_budget_ns = 0;
   RetryPolicy retry;
 };
 
+// What settle() decided for an op's attempt.
+enum class Settle : std::uint8_t {
+  kDone,    // a kOk response: consume it
+  kRetry,   // send the op again now (backoff slept, socket open)
+  kGiveUp,  // final: refused for good, out of attempts, or no socket
+};
+
 class KvClient {
  public:
-  // Connects to 127.0.0.1:<port>; nullopt on failure.  `version` is the
-  // protocol minor this client speaks — the server answers in kind, so
-  // passing kMinVersion exercises the old-client compatibility path.
+  // Connects to 127.0.0.1:<port>; nullopt on failure.
   static std::optional<KvClient> connect(std::uint16_t port,
-                                         std::uint16_t version = kVersion) {
-    ClientConfig cfg;
-    cfg.version = version;
-    return connect(port, cfg);
-  }
-
-  static std::optional<KvClient> connect(std::uint16_t port,
-                                         const ClientConfig& cfg) {
+                                         const ClientConfig& cfg = {}) {
     const int fd = open_socket(port);
     if (fd < 0) return std::nullopt;
     return KvClient(fd, port, cfg);
@@ -166,48 +165,41 @@ class KvClient {
   std::uint64_t retries() const { return retries_; }
   std::uint64_t timeouts() const { return timeouts_; }
   std::uint64_t reconnects() const { return reconnects_; }
-  std::uint16_t version() const { return cfg_.version; }
 
   // ---- pipelined interface ---------------------------------------------------
 
   // Each submit_* packs one frame into the out-buffer and returns the
   // request id it will be answered under; nothing hits the wire until
-  // flush().  The configured deadline budget rides along on v4+.
+  // flush().  The configured deadline budget rides along on each.
   std::uint64_t submit_get(std::uint64_t key) {
     const std::uint64_t id = next_id_++;
-    pack_get_req(out_, id, key, cfg_.version, cfg_.deadline_budget_ns);
+    pack_get_req(out_, id, key, cfg_.deadline_budget_ns);
     return id;
   }
   std::uint64_t submit_put(std::uint64_t key, std::uint64_t value) {
     const std::uint64_t id = next_id_++;
-    pack_put_req(out_, id, key, value, cfg_.version, cfg_.deadline_budget_ns);
+    pack_put_req(out_, id, key, value, cfg_.deadline_budget_ns);
     return id;
   }
   std::uint64_t submit_erase(std::uint64_t key) {
     const std::uint64_t id = next_id_++;
-    pack_erase_req(out_, id, key, cfg_.version, cfg_.deadline_budget_ns);
+    pack_erase_req(out_, id, key, cfg_.deadline_budget_ns);
     return id;
   }
   std::uint64_t submit_get_many(const std::uint64_t* keys, std::uint32_t n) {
     const std::uint64_t id = next_id_++;
-    pack_get_many_req(out_, id, keys, n, cfg_.version,
-                      cfg_.deadline_budget_ns);
+    pack_get_many_req(out_, id, keys, n, cfg_.deadline_budget_ns);
     return id;
   }
-  // v3+ requests.  A client constructed with version < 3 may still call
-  // these (the frames pack fine) — the server will answer kUnknownType,
-  // which is exactly what the negotiation tests exercise.
   std::uint64_t submit_put_ttl(std::uint64_t key, std::uint64_t value,
                                std::uint64_t ttl_ns) {
     const std::uint64_t id = next_id_++;
-    pack_put_ttl_req(out_, id, key, value, ttl_ns, cfg_.version,
-                     cfg_.deadline_budget_ns);
+    pack_put_ttl_req(out_, id, key, value, ttl_ns, cfg_.deadline_budget_ns);
     return id;
   }
   std::uint64_t submit_touch(std::uint64_t key, std::uint64_t ttl_ns) {
     const std::uint64_t id = next_id_++;
-    pack_touch_req(out_, id, key, ttl_ns, cfg_.version,
-                   cfg_.deadline_budget_ns);
+    pack_touch_req(out_, id, key, ttl_ns, cfg_.deadline_budget_ns);
     return id;
   }
 
@@ -237,11 +229,8 @@ class KvClient {
 
   // ---- synchronous conveniences ----------------------------------------------
 
-  // Each convenience runs the retry loop: transport failures reconnect and
-  // resend (idempotent ops; RetryPolicy::reconnect gates it), kShed backs
-  // off exponentially with jitter, kQueueFull backs off sooner, kDeadline
-  // and kShutdown give up.  Pipelined callers who want different semantics
-  // submit/flush/recv themselves.
+  // Each convenience runs one op to its settle() verdict.  Pipelined
+  // callers submit/flush/recv themselves and settle() each answer.
 
   std::optional<std::uint64_t> get(std::uint64_t key) {
     std::optional<std::uint64_t> out;
@@ -288,19 +277,33 @@ class KvClient {
     return out;
   }
 
-  // Sleeps the policy's backoff for attempt `k` refused with `status`
-  // (public so the loadgen shares the exact same schedule).
-  void backoff(int k, WireStatus status) {
-    std::uint64_t ns = cfg_.retry.base_backoff_ns;
-    for (int i = 0; i < k && ns < cfg_.retry.max_backoff_ns; ++i) ns *= 2;
-    if (ns > cfg_.retry.max_backoff_ns) ns = cfg_.retry.max_backoff_ns;
-    if (status == WireStatus::kQueueFull) {
-      ns = static_cast<std::uint64_t>(static_cast<double>(ns) *
-                                      cfg_.retry.queue_full_scale);
+  // The one retry path: settles attempt `attempt` (0-based) of an op.
+  // `r` is its response, or nullptr when the transport lost it.
+  //  * kOk                -> kDone.
+  //  * kShed / kQueueFull -> kRetry after the policy's backoff, while
+  //                          attempts remain.
+  //  * lost               -> the socket is reopened first, if the policy
+  //                          allows, even when this op is out of attempts
+  //                          (the connection outlives the op); then kRetry
+  //                          while attempts remain.  Ops lost together
+  //                          share the one reconnect.
+  //  * anything else      -> kGiveUp: kDeadline (the budget is spent),
+  //                          kShutdown, and kErrorResp.
+  Settle settle(int attempt, const Response* r) {
+    bool retryable = false;
+    if (r == nullptr) {
+      retryable = cfg_.retry.reconnect && (ok() || reconnect());
+    } else if (r->type != MsgType::kErrorResp) {
+      if (r->status == WireStatus::kOk) return Settle::kDone;
+      retryable = r->status == WireStatus::kShed ||
+                  r->status == WireStatus::kQueueFull;
     }
-    const double j = 0.5 + jitter_.uniform01() * 0.5;  // [0.5, 1.0)
-    ns = static_cast<std::uint64_t>(static_cast<double>(ns) * j);
-    if (ns != 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    const int attempts =
+        cfg_.retry.max_attempts < 1 ? 1 : cfg_.retry.max_attempts;
+    if (!retryable || attempt + 1 >= attempts) return Settle::kGiveUp;
+    if (r != nullptr) backoff(attempt, r->status);
+    retries_ += 1;
+    return Settle::kRetry;
   }
 
  private:
@@ -331,10 +334,29 @@ class KvClient {
     return fd;
   }
 
-  // Absolute per-op deadline on the steady clock; 0 = unbounded.
+  // Absolute per-op deadline on the steady clock; 0 = unbounded.  A
+  // budget that would overflow the clock saturates instead of wrapping
+  // into the past.
   std::uint64_t op_deadline() const {
     if (cfg_.op_timeout_ms == 0) return 0;
-    return steady_now_ns() + cfg_.op_timeout_ms * 1'000'000ULL;
+    const std::uint64_t now = steady_now_ns();
+    const std::uint64_t kMax = ~std::uint64_t{0};
+    if (cfg_.op_timeout_ms >= (kMax - now) / 1'000'000ULL) return kMax;
+    return now + cfg_.op_timeout_ms * 1'000'000ULL;
+  }
+
+  // Sleeps the policy's backoff for attempt `k` refused with `status`.
+  void backoff(int k, WireStatus status) {
+    std::uint64_t ns = cfg_.retry.base_backoff_ns;
+    for (int i = 0; i < k && ns < cfg_.retry.max_backoff_ns; ++i) ns *= 2;
+    if (ns > cfg_.retry.max_backoff_ns) ns = cfg_.retry.max_backoff_ns;
+    if (status == WireStatus::kQueueFull) {
+      ns = static_cast<std::uint64_t>(static_cast<double>(ns) *
+                                      cfg_.retry.queue_full_scale);
+    }
+    const double j = 0.5 + jitter_.uniform01() * 0.5;  // [0.5, 1.0)
+    ns = static_cast<std::uint64_t>(static_cast<double>(ns) * j);
+    if (ns != 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
   }
 
   static std::uint64_t steady_now_ns() {
@@ -366,17 +388,16 @@ class KvClient {
           timeouts_ += 1;
           return fail(ClientError::kTimeout);
         }
-        const std::uint64_t left = deadline - now;
-        timeout_ms = static_cast<int>(left / 1'000'000ULL) + 1;
+        // Rounded up, so an expired poll lands past the deadline; clamped,
+        // so a budget beyond INT_MAX ms polls in INT_MAX-ms slices.
+        const std::uint64_t ms = (deadline - now) / 1'000'000ULL + 1;
+        timeout_ms = ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
       }
       pollfd p{fd_, events, 0};
       const int r = ::poll(&p, 1, timeout_ms);
       if (r > 0) return true;
-      if (r == 0) {
-        timeouts_ += 1;
-        return fail(ClientError::kTimeout);
-      }
-      if (errno != EINTR) return fail(ClientError::kClosed);
+      // r == 0 or EINTR: the deadline check above decides.
+      if (r < 0 && errno != EINTR) return fail(ClientError::kClosed);
     }
   }
 
@@ -430,9 +451,9 @@ class KvClient {
     resp->type = h.type;
     resp->status = WireStatus::kOk;
     resp->values.clear();
-    // v2 data responses lead with the admission status; a refusal carries
-    // nothing else.  kErrorResp keeps its frozen v1 layout in any version.
-    if (h.version >= 2 && h.type != MsgType::kErrorResp) {
+    // Data responses lead with the admission status; a refusal carries
+    // nothing else.
+    if (h.type != MsgType::kErrorResp) {
       resp->status = static_cast<WireStatus>(u.u8());
       if (u.failed()) return fail(ClientError::kProtocol);
       if (resp->status != WireStatus::kOk) {
@@ -496,52 +517,32 @@ class KvClient {
     return true;
   }
 
-  // The shared convenience loop: submit-flush-recv with the retry policy.
-  // `on_ok` consumes the kOk response; returns whether an attempt ended in
-  // kOk.  A response whose id does not match (possible only after the
-  // caller broke the one-in-one-out convention) is a protocol failure.
+  // The convenience loop: submit-flush-recv until settle() is final.
+  // `on_ok` consumes the kOk response; returns whether the op ended in kOk.
+  // A response whose id does not match (possible only after the caller
+  // broke the one-in-one-out convention) is a protocol failure.
   template <class OnOk, class Submit>
   bool roundtrip(MsgType want, OnOk&& on_ok, Submit&& submit) {
-    const int attempts =
-        cfg_.retry.max_attempts < 1 ? 1 : cfg_.retry.max_attempts;
-    for (int k = 0; k < attempts; ++k) {
-      if (fd_ < 0) {
-        if (!cfg_.retry.reconnect || !reconnect()) return false;
-      }
-      if (k > 0) retries_ += 1;
+    for (int k = 0;; ++k) {
       const std::uint64_t deadline = op_deadline();
       const std::uint64_t id = submit();
       Response r;
-      if (!flush_by(deadline) || !recv_by(&r, deadline)) {
-        // Transport failure: the socket is already closed; a later
-        // attempt reconnects (all current ops are idempotent).
-        if (!cfg_.retry.reconnect) return false;
-        continue;
-      }
-      if (r.id != id || (r.type != want && r.type != MsgType::kErrorResp)) {
+      const bool got = flush_by(deadline) && recv_by(&r, deadline);
+      if (got &&
+          (r.id != id || (r.type != want && r.type != MsgType::kErrorResp))) {
         fail(ClientError::kProtocol);
         return false;
       }
-      last_error_ = ClientError::kNone;
-      if (r.type == MsgType::kErrorResp) {
-        // v1 servers refuse via kErrorResp; map the retryable one.
-        if (r.error_code != ErrorCode::kBackpressure) return false;
-        r.status = WireStatus::kShed;
-      }
-      switch (r.status) {
-        case WireStatus::kOk:
+      switch (settle(k, got ? &r : nullptr)) {
+        case Settle::kDone:
           on_ok(r);
           return true;
-        case WireStatus::kShed:
-        case WireStatus::kQueueFull:
-          if (k + 1 < attempts) backoff(k, r.status);
-          break;  // retry
-        case WireStatus::kDeadline:
-        case WireStatus::kShutdown:
-          return false;  // not retryable
+        case Settle::kGiveUp:
+          return false;
+        case Settle::kRetry:
+          break;
       }
     }
-    return false;
   }
 
   int fd_ = -1;

@@ -9,7 +9,10 @@
 // the depth steady — the classic closed-loop load generator.  Latency is
 // measured per wire request (send of the frame to receipt of its
 // response), matched by request id because the server completes requests
-// in whatever order the owning nodes finish them.
+// in whatever order the owning nodes finish them.  Whether an answered or
+// lost request is retried is KvClient::settle's call, the same one the
+// synchronous conveniences make; the loadgen only tracks what is in
+// flight, what is queued for a resend, and the counts.
 #pragma once
 
 #if !defined(__linux__)
@@ -38,12 +41,9 @@ struct LoadgenConfig {
   int requests_per_conn = 1000;   // wire requests (a batch counts once)
   std::uint32_t batch = 8;        // reads coalesced per get_many
   ServeMixConfig mix{.seed = 42};  // zipfian traffic mix (workload.hpp)
-  // Resilience: per-op wall budget (0 = wait forever), per-request wire
-  // deadline budget forwarded on v4 frames (0 = none), and the retry/
-  // backoff policy applied to refusals and transport failures.
-  std::uint64_t op_timeout_ms = 0;
-  std::uint64_t deadline_budget_ns = 0;
-  RetryPolicy retry{};
+  // Every connection's client: op timeout, deadline budget and retry
+  // policy (each connection's jitter seed is decorrelated from it).
+  ClientConfig client;
 };
 
 struct LoadgenResult {
@@ -51,10 +51,10 @@ struct LoadgenResult {
   std::uint64_t requests = 0;     // wire round trips completed
   std::uint64_t ops = 0;          // keys touched (batch counts its keys)
   std::uint64_t hits = 0;
-  std::uint64_t errors = 0;       // kErrorResp (other than backpressure) or
-                                  // transport failures
+  std::uint64_t errors = 0;       // kErrorResp, kShutdown, or transport
+                                  // failures
   std::uint64_t shed = 0;         // admission-shed responses (WireStatus::
-                                  // kShed / v1 kBackpressure)
+                                  // kShed)
   std::uint64_t deferred = 0;     // queue-full responses (WireStatus::
                                   // kQueueFull)
   std::uint64_t deadline = 0;     // kDeadline responses (never retried)
@@ -75,7 +75,7 @@ struct WireOp {
   std::vector<std::uint64_t> keys;  // batch
   std::uint64_t key = 0;            // put
   std::uint64_t value = 0;
-  std::uint64_t ttl_ns = 0;         // > 0: sent as kPutTtlReq (v3)
+  std::uint64_t ttl_ns = 0;         // > 0: sent as kPutTtlReq
 };
 
 inline std::vector<WireOp> make_ops(const LoadgenConfig& cfg,
@@ -171,11 +171,8 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
   for (std::size_t c = 0; c < conns; ++c) {
     threads.emplace_back([&, c] {
       ConnResult& out = per_conn[c];
-      ClientConfig ccfg;
-      ccfg.op_timeout_ms = cfg.op_timeout_ms;
-      ccfg.deadline_budget_ns = cfg.deadline_budget_ns;
-      ccfg.retry = cfg.retry;
-      ccfg.retry.seed = cfg.retry.seed ^ c;  // decorrelate jitter streams
+      ClientConfig ccfg = cfg.client;
+      ccfg.retry.seed ^= c;  // decorrelate jitter streams
       auto client = KvClient::connect(cfg.port, ccfg);
       const std::vector<detail::WireOp> ops =
           client ? detail::make_ops(cfg, static_cast<std::uint64_t>(c))
@@ -196,14 +193,17 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
       std::vector<InFlight> in_flight;
       const std::size_t depth =
           static_cast<std::size_t>(cfg.depth > 0 ? cfg.depth : 1);
-      const int max_attempts =
-          cfg.retry.max_attempts < 1 ? 1 : cfg.retry.max_attempts;
       in_flight.reserve(depth);
       out.latency_ns.reserve(ops.size());
       std::size_t next = 0;
-      // Ops scheduled for a re-send (refused or lost in a transport
-      // failure), with the attempt number they will carry.
+      // Ops settle() sent back for another attempt, with that attempt's
+      // number.
       std::vector<std::pair<std::size_t, int>> again;
+      const auto settle = [&](std::size_t op_idx, int attempt,
+                              const Response* r) {
+        if (client->settle(attempt, r) == Settle::kRetry)
+          again.emplace_back(op_idx, attempt + 1);
+      };
       const auto send_one = [&](std::size_t op_idx, int attempt) -> bool {
         const detail::WireOp& w = ops[op_idx];
         const std::uint64_t t0 = now_ns();
@@ -218,28 +218,21 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
         in_flight.push_back({id, t0, op_idx, attempt});
         return true;
       };
-      // Schedule a re-send of op `op_idx` if its attempt budget allows.
-      const auto schedule_retry = [&](std::size_t op_idx, int attempt) {
-        if (attempt + 1 >= max_attempts) return;
-        out.retries += 1;
-        again.emplace_back(op_idx, attempt + 1);
+      // An attempt the transport swallowed (the socket is already closed).
+      const auto lose = [&](std::size_t op_idx, int attempt) {
+        if (client->last_error() == ClientError::kTimeout)
+          out.timeouts += 1;
+        else
+          out.errors += 1;
+        settle(op_idx, attempt, nullptr);
       };
       // The socket died (timeout, reset, protocol desync): every in-flight
-      // response is gone.  Count the losses, requeue what still has
-      // attempts left, and reopen the socket.
-      const auto recover_transport = [&]() -> bool {
-        const bool timed_out = client->last_error() == ClientError::kTimeout;
-        for (const InFlight& f : in_flight) {
-          if (timed_out)
-            out.timeouts += 1;
-          else
-            out.errors += 1;
-          schedule_retry(f.op, f.attempt);
-        }
+      // response is gone with it.  The connection goes on only if settle()
+      // could reopen the socket.
+      const auto lose_in_flight = [&]() -> bool {
+        for (const InFlight& f : in_flight) lose(f.op, f.attempt);
         in_flight.clear();
-        if (!cfg.retry.reconnect || !client->reconnect()) return false;
-        out.reconnects += 1;
-        return true;
+        return client->ok();
       };
       const auto recv_one = [&]() -> bool {
         Response r;
@@ -251,53 +244,35 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
               static_cast<double>(t1 - in_flight[f].send_ns));
           const std::size_t op_idx = in_flight[f].op;
           const int attempt = in_flight[f].attempt;
+          in_flight.erase(in_flight.begin() +
+                          static_cast<std::ptrdiff_t>(f));
           const detail::WireOp& w = ops[op_idx];
           out.requests += 1;
           const MsgType want =
               w.is_batch ? MsgType::kGetManyResp : MsgType::kPutResp;
-          if (r.type == MsgType::kErrorResp) {
-            // v1 servers signal admission refusals through the error
-            // channel; keep shed distinct from genuine failures.
-            if (r.error_code == ErrorCode::kBackpressure) {
-              out.shed += 1;
-              client->backoff(attempt, WireStatus::kShed);
-              schedule_retry(op_idx, attempt);
-            } else {
-              out.errors += 1;
-            }
-          } else if (r.type == want && r.status != WireStatus::kOk) {
-            // v2 typed refusal: the op did not execute, but the
-            // connection and the protocol are healthy.  Shed asks for a
-            // full backoff, queue-full for a shorter one; a deadline
-            // verdict means the budget is already gone — retrying a
-            // doomed op only adds load.
-            if (r.status == WireStatus::kShed) {
-              out.shed += 1;
-              client->backoff(attempt, r.status);
-              schedule_retry(op_idx, attempt);
-            } else if (r.status == WireStatus::kQueueFull) {
-              out.deferred += 1;
-              client->backoff(attempt, r.status);
-              schedule_retry(op_idx, attempt);
-            } else if (r.status == WireStatus::kDeadline) {
-              out.deadline += 1;
-            } else {
-              out.errors += 1;  // kShutdown and anything unexpected
-            }
-          } else if (r.type != want) {
+          if (r.type != want && r.type != MsgType::kErrorResp) {
             // The id matched but the response answers a different kind of
             // op — a correlation bug, not a transport failure.
             out.errors += 1;
             detail::log_type_mismatch_once(r.id, r.type, want);
-          } else if (w.is_batch) {
-            out.ops += w.keys.size();
+            return true;
+          }
+          if (r.type == MsgType::kErrorResp) {
+            out.errors += 1;
+          } else if (r.status == WireStatus::kOk) {
+            out.ops += w.is_batch ? w.keys.size() : 1;
             for (const auto& v : r.values)
               if (v.has_value()) ++out.hits;
+          } else if (r.status == WireStatus::kShed) {
+            out.shed += 1;
+          } else if (r.status == WireStatus::kQueueFull) {
+            out.deferred += 1;
+          } else if (r.status == WireStatus::kDeadline) {
+            out.deadline += 1;
           } else {
-            out.ops += 1;
+            out.errors += 1;  // kShutdown
           }
-          in_flight.erase(in_flight.begin() +
-                          static_cast<std::ptrdiff_t>(f));
+          settle(op_idx, attempt, &r);
           return true;
         }
         // Unknown id: the server answered something this connection never
@@ -323,13 +298,9 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
           }
           if (!send_one(op_idx, attempt)) {
             // The op that failed to send was never recorded in-flight;
-            // requeue it alongside whatever the dead socket swallowed.
-            if (client->last_error() == ClientError::kTimeout)
-              out.timeouts += 1;
-            else
-              out.errors += 1;
-            schedule_retry(op_idx, attempt);
-            ok = recover_transport();
+            // it is lost alongside whatever the dead socket swallowed.
+            lose(op_idx, attempt);
+            ok = lose_in_flight();
           }
         }
         if (ok && !in_flight.empty() && !recv_one()) {
@@ -339,10 +310,12 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
           if (client->last_error() == ClientError::kNone)
             ok = false;
           else
-            ok = recover_transport();
+            ok = lose_in_flight();
         }
       }
       out.ok = ok;
+      out.retries = client->retries();
+      out.reconnects = client->reconnects();
     });
   }
   while (ready.load(std::memory_order_acquire) <

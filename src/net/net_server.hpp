@@ -185,10 +185,6 @@ class NetServer {
   struct Connection {
     int fd = -1;
     std::size_t idx = 0;  // this connection's conns_/epoll tag index
-    // Protocol minor the peer last spoke (every valid header updates it);
-    // responses are packed in this version, so old-minor clients keep
-    // parsing their historical layouts.
-    std::uint16_t peer_version = kVersion;
     std::vector<std::uint8_t> rbuf;
     std::size_t rhead = 0;  // parsed-up-to offset into rbuf
     PackBuffer wbuf;
@@ -412,8 +408,8 @@ class NetServer {
         {MsgType::kPutReq, "put", &NetServer::on_put},
         {MsgType::kEraseReq, "erase", &NetServer::on_erase},
         {MsgType::kGetManyReq, "get_many", &NetServer::on_get_many},
-        {MsgType::kPutTtlReq, "put_ttl", &NetServer::on_put_ttl, 3},
-        {MsgType::kTouchReq, "touch", &NetServer::on_touch, 3},
+        {MsgType::kPutTtlReq, "put_ttl", &NetServer::on_put_ttl},
+        {MsgType::kTouchReq, "touch", &NetServer::on_touch},
     };
     return table;
   }
@@ -456,14 +452,9 @@ class NetServer {
                        /*close=*/true);
         return;
       }
-      c.peer_version = h.version;
       const auto* entry = dispatch_lookup(dispatch_table(), h.type);
-      if (entry == nullptr || h.version < entry->min_version) {
-        // No entry, or a type newer than the minor the peer declared: to
-        // that minor the type does not exist, so both cases answer with
-        // the same kUnknownType — the frame boundary is intact, so the
-        // connection keeps going (a down-negotiated peer cannot smuggle
-        // v3-only requests through).
+      if (entry == nullptr) {
+        // The frame boundary is intact, so the connection keeps going.
         protocol_error(c, idx, h.request_id, ErrorCode::kUnknownType,
                        "no dispatch entry for message type",
                        /*close=*/false);
@@ -517,7 +508,12 @@ class NetServer {
 
   // ---- request handlers (the dispatch table's targets) ----------------------
 
-  Slot* take_slot(Connection& c, std::uint64_t id, MsgType resp_type) {
+  // Leases a slot for request `id`.  The relative wire budget becomes an
+  // absolute deadline on the KvServer's deadline clock here, at parse
+  // time, so client budgets and the server's admission/dequeue checks
+  // share one timeline.
+  Slot* take_slot(Connection& c, std::uint64_t id, MsgType resp_type,
+                  std::uint64_t budget_ns) {
     if (c.free_slots.empty()) return nullptr;
     Slot* s = c.free_slots.back();
     c.free_slots.pop_back();
@@ -525,7 +521,7 @@ class NetServer {
     s->req.out = nullptr;
     s->req.ttl_ns = 0;  // reset() keeps client-owned fields; a recycled
                         // put_ttl slot must not leak its TTL into a plain put
-    s->req.deadline_ns = 0;  // same rule for a recycled deadline
+    s->req.deadline_ns = budget_ns == 0 ? 0 : kv_.time_now_ns() + budget_ns;
     s->id = id;
     s->resp_type = resp_type;
     s->admit = serve::AdmitResult::kAccepted;
@@ -560,7 +556,8 @@ class NetServer {
       if (s->admit == serve::AdmitResult::kShedOverload ||
           s->admit == serve::AdmitResult::kQueueFull ||
           s->admit == serve::AdmitResult::kDeadlineExceeded) {
-        if (!c.peer_gone) pack_refusal(c, s->resp_type, s->id, s->admit);
+        if (!c.peer_gone)
+          pack_status_resp(c.wbuf, s->resp_type, s->id, to_wire(s->admit));
         c.free_slots.push_back(s);
         freed = true;
         continue;
@@ -581,29 +578,6 @@ class NetServer {
     }
   }
 
-  // Maps an AdmitResult onto the peer's protocol minor: v2 peers get the
-  // typed status frame (kDeadline itself is v4 vocabulary, so v2/v3 peers
-  // see kShed — the closest retry class they understand, and they never
-  // carry budgets anyway), v1 peers the closest error response (layout
-  // frozen since v1).
-  void pack_refusal(Connection& c, MsgType resp_type, std::uint64_t id,
-                    serve::AdmitResult admit) {
-    if (c.peer_version >= 2) {
-      WireStatus ws = to_wire(admit);
-      if (ws == WireStatus::kDeadline && c.peer_version < 4)
-        ws = WireStatus::kShed;
-      pack_status_resp(c.wbuf, resp_type, id, ws, c.peer_version);
-      return;
-    }
-    if (admit == serve::AdmitResult::kShutdown) {
-      pack_error_resp(c.wbuf, id, ErrorCode::kShuttingDown,
-                      "server is shutting down", c.peer_version);
-    } else {
-      pack_error_resp(c.wbuf, id, ErrorCode::kBackpressure,
-                      "node saturated; retry later", c.peer_version);
-    }
-  }
-
   static WireStatus to_wire(serve::AdmitResult r) {
     switch (r) {
       case serve::AdmitResult::kAccepted: return WireStatus::kOk;
@@ -615,28 +589,11 @@ class NetServer {
     return WireStatus::kOk;
   }
 
-  // v4+: the optional trailing deadline-budget field.  Called after a
-  // handler consumed its fixed fields (and get_many its keys): at that
-  // point `remaining() == 8` can only be the budget, and only a v4 peer
-  // may have packed one — for older minors any trailing bytes fall through
-  // to the handler's exhausted() check and answer kMalformed.
-  std::uint64_t read_deadline_budget(const Connection& c, Unpacker& u) {
-    if (c.peer_version >= 4 && u.remaining() == 8) return u.u64();
-    return 0;
-  }
-
-  // Converts a relative wire budget into an absolute deadline on the
-  // KvServer's deadline clock, so client budgets and the server's
-  // admission/dequeue checks share one timeline.
-  void set_deadline(serve::Request& req, std::uint64_t budget_ns) {
-    req.deadline_ns = budget_ns == 0 ? 0 : kv_.time_now_ns() + budget_ns;
-  }
-
   Handle on_get(Connection& c, std::uint64_t id, Unpacker& u) {
     const std::uint64_t key = u.u64();
-    const std::uint64_t budget = read_deadline_budget(c, u);
-    if (u.failed() || !u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kGetResp);
+    const std::uint64_t budget = u.u64();
+    if (!u.exhausted()) return malformed(c, id);
+    Slot* s = take_slot(c, id, MsgType::kGetResp, budget);
     if (!s) return Handle::kNoSlot;
     s->keys.assign(1, key);
     s->out.assign(1, std::nullopt);
@@ -644,7 +601,6 @@ class NetServer {
     s->req.keys = s->keys.data();
     s->req.key_count = 1;
     s->req.out = s->out.data();
-    set_deadline(s->req, budget);
     submit_slot(c, s);
     return Handle::kOk;
   }
@@ -652,32 +608,30 @@ class NetServer {
   Handle on_put(Connection& c, std::uint64_t id, Unpacker& u) {
     const std::uint64_t key = u.u64();
     const std::uint64_t value = u.u64();
-    const std::uint64_t budget = read_deadline_budget(c, u);
-    if (u.failed() || !u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kPutResp);
+    const std::uint64_t budget = u.u64();
+    if (!u.exhausted()) return malformed(c, id);
+    Slot* s = take_slot(c, id, MsgType::kPutResp, budget);
     if (!s) return Handle::kNoSlot;
     s->req.kind = serve::RequestKind::kPut;
     s->req.key = key;
     s->req.value = value;
-    set_deadline(s->req, budget);
     submit_slot(c, s);
     return Handle::kOk;
   }
 
   Handle on_erase(Connection& c, std::uint64_t id, Unpacker& u) {
     const std::uint64_t key = u.u64();
-    const std::uint64_t budget = read_deadline_budget(c, u);
-    if (u.failed() || !u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kEraseResp);
+    const std::uint64_t budget = u.u64();
+    if (!u.exhausted()) return malformed(c, id);
+    Slot* s = take_slot(c, id, MsgType::kEraseResp, budget);
     if (!s) return Handle::kNoSlot;
     s->req.kind = serve::RequestKind::kErase;
     s->req.key = key;
-    set_deadline(s->req, budget);
     submit_slot(c, s);
     return Handle::kOk;
   }
 
-  // v3+: a put carrying a lease TTL.  Same response type as a plain put —
+  // A put carrying a lease TTL.  Same response type as a plain put —
   // the KvServer attaches the lease when expiry is enabled and silently
   // stores a plain value otherwise (the knob is server policy, not a
   // protocol guarantee).
@@ -685,65 +639,60 @@ class NetServer {
     const std::uint64_t key = u.u64();
     const std::uint64_t value = u.u64();
     const std::uint64_t ttl = u.u64();
-    const std::uint64_t budget = read_deadline_budget(c, u);
-    if (u.failed() || !u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kPutResp);
+    const std::uint64_t budget = u.u64();
+    if (!u.exhausted()) return malformed(c, id);
+    Slot* s = take_slot(c, id, MsgType::kPutResp, budget);
     if (!s) return Handle::kNoSlot;
     s->req.kind = serve::RequestKind::kPut;
     s->req.key = key;
     s->req.value = value;
     s->req.ttl_ns = ttl;
-    set_deadline(s->req, budget);
     submit_slot(c, s);
     return Handle::kOk;
   }
 
-  // v3+: extend an existing key's lease.  `touched` is false when the key
+  // Extends an existing key's lease.  `touched` is false when the key
   // is absent, already expired, or the server has expiry disabled.
   Handle on_touch(Connection& c, std::uint64_t id, Unpacker& u) {
     const std::uint64_t key = u.u64();
     const std::uint64_t ttl = u.u64();
-    const std::uint64_t budget = read_deadline_budget(c, u);
-    if (u.failed() || !u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kTouchResp);
+    const std::uint64_t budget = u.u64();
+    if (!u.exhausted()) return malformed(c, id);
+    Slot* s = take_slot(c, id, MsgType::kTouchResp, budget);
     if (!s) return Handle::kNoSlot;
     s->req.kind = serve::RequestKind::kTouch;
     s->req.key = key;
     s->req.ttl_ns = ttl;
-    set_deadline(s->req, budget);
     submit_slot(c, s);
     return Handle::kOk;
   }
 
   Handle on_get_many(Connection& c, std::uint64_t id, Unpacker& u) {
     const std::uint32_t n = u.u32();
-    // The count must agree with the frame length before any allocation
-    // sized by it (a lying count is a malformed body, not an OOM).  On
-    // v4+ the body may carry the trailing budget after the keys.
+    // The count must agree with the frame length (keys, then the budget)
+    // before any allocation sized by it: a lying count is a malformed
+    // body, not an OOM.
     const std::size_t keys_len = static_cast<std::size_t>(n) * 8;
-    if (u.failed() ||
-        (u.remaining() != keys_len &&
-         !(c.peer_version >= 4 && u.remaining() == keys_len + 8)))
-      return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kGetManyResp);
+    if (u.failed() || u.remaining() != keys_len + 8) return malformed(c, id);
+    Unpacker keys(u.bytes(keys_len), keys_len);
+    const std::uint64_t budget = u.u64();
+    Slot* s = take_slot(c, id, MsgType::kGetManyResp, budget);
     if (!s) return Handle::kNoSlot;
     s->keys.clear();
     s->keys.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) s->keys.push_back(u.u64());
-    const std::uint64_t budget = read_deadline_budget(c, u);
+    for (std::uint32_t i = 0; i < n; ++i) s->keys.push_back(keys.u64());
     s->out.assign(n, std::nullopt);
     s->req.kind = serve::RequestKind::kGetBatch;
     s->req.keys = s->keys.data();
     s->req.key_count = n;
     s->req.out = n ? s->out.data() : nullptr;
-    set_deadline(s->req, budget);
     submit_slot(c, s);
     return Handle::kOk;
   }
 
   Handle malformed(Connection& c, std::uint64_t id) {
     pack_error_resp(c.wbuf, id, ErrorCode::kMalformed,
-                    "body does not match the frame length", c.peer_version);
+                    "body does not match the frame length");
     proto_errors_.fetch_add(1, std::memory_order_relaxed);
     return Handle::kOk;  // frame boundary intact: connection survives
   }
@@ -751,8 +700,7 @@ class NetServer {
   void protocol_error(Connection& c, std::size_t idx, std::uint64_t id,
                       ErrorCode code, const char* detail, bool close) {
     proto_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (!c.peer_gone)
-      pack_error_resp(c.wbuf, id, code, detail, c.peer_version);
+    if (!c.peer_gone) pack_error_resp(c.wbuf, id, code, detail);
     if (close) {
       begin_drain(c, idx);
     } else {
@@ -808,67 +756,37 @@ class NetServer {
   }
 
   void pack_response(Connection& c, const Slot& s) {
-    const std::uint16_t v = c.peer_version;
     const serve::AdmitResult adm = effective_admit(s);
-    const bool refused = adm != serve::AdmitResult::kAccepted;
+    const bool hit = s.req.hits.load(std::memory_order_relaxed) != 0;
+    // A partially-refused batch (shutdown race, or a deadline drop after
+    // some slices ran) still answers with what completed; a fully refused
+    // one is an explicit refusal.
+    const bool partial = s.resp_type == MsgType::kGetManyResp &&
+                         (s.req.key_count == 0 || hit);
+    if (adm != serve::AdmitResult::kAccepted && !partial) {
+      pack_status_resp(c.wbuf, s.resp_type, s.id, to_wire(adm));
+      return;
+    }
     switch (s.resp_type) {
       case MsgType::kGetResp:
-        if (refused) {
-          pack_refusal(c, s.resp_type, s.id, adm);
-        } else {
-          pack_get_resp(c.wbuf, s.id, s.out[0].has_value(),
-                        s.out[0].value_or(0), v);
-        }
+        pack_get_resp(c.wbuf, s.id, s.out[0].has_value(),
+                      s.out[0].value_or(0));
         break;
       case MsgType::kPutResp:
-        if (refused) {
-          pack_refusal(c, s.resp_type, s.id, adm);
-        } else {
-          pack_put_resp(c.wbuf, s.id, v);
-        }
+        pack_put_resp(c.wbuf, s.id);
         break;
       case MsgType::kEraseResp:
-        if (refused) {
-          pack_refusal(c, s.resp_type, s.id, adm);
-        } else {
-          pack_erase_resp(c.wbuf, s.id,
-                          s.req.hits.load(std::memory_order_relaxed) != 0,
-                          v);
-        }
+        pack_erase_resp(c.wbuf, s.id, hit);
         break;
       case MsgType::kTouchResp:
-        if (refused) {
-          pack_refusal(c, s.resp_type, s.id, adm);
-        } else {
-          pack_touch_resp(c.wbuf, s.id,
-                          s.req.hits.load(std::memory_order_relaxed) != 0,
-                          v);
-        }
+        pack_touch_resp(c.wbuf, s.id, hit);
         break;
-      case MsgType::kGetManyResp: {
-        // A partially-refused batch (shutdown race, or a deadline drop
-        // after some slices ran) still answers with what completed; a
-        // fully refused one is an explicit refusal.
-        if (refused && s.req.key_count != 0 &&
-            s.req.hits.load(std::memory_order_relaxed) == 0) {
-          pack_refusal(c, s.resp_type, s.id, adm);
-          break;
-        }
-        const std::size_t at = c.wbuf.begin_frame();
-        pack_header(c.wbuf, MsgType::kGetManyResp, s.id, v);
-        if (v >= 2)
-          c.wbuf.put_u8(static_cast<std::uint8_t>(WireStatus::kOk));
-        c.wbuf.put_u32(s.req.key_count);
-        for (std::uint32_t i = 0; i < s.req.key_count; ++i) {
-          c.wbuf.put_u8(s.out[i].has_value() ? 1 : 0);
-          c.wbuf.put_u64(s.out[i].value_or(0));
-        }
-        c.wbuf.end_frame(at);
+      case MsgType::kGetManyResp:
+        pack_get_many_resp(c.wbuf, s.id, s.out.data(), s.req.key_count);
         break;
-      }
       default:
         pack_error_resp(c.wbuf, s.id, ErrorCode::kMalformed,
-                        "internal: bad response type", v);
+                        "internal: bad response type");
         break;
     }
   }

@@ -1,12 +1,16 @@
-// Versioned binary wire protocol for the KV serving runtime (DESIGN.md §10).
+// Binary wire protocol for the KV serving runtime (DESIGN.md §10).
 //
 // The format follows the classic pack/unpack + message-type-dispatch idiom
 // (slurm's src/common/pack.h lineage): every scalar is packed big-endian
 // (network order) into a growing byte buffer, every frame is
 // length-prefixed, and every message starts with a fixed header —
 //
-//   frame  := u32 payload_len | payload            (len excludes itself)
-//   payload:= u32 magic | u16 version | u16 type | u64 request_id | body
+//   frame   := u32 payload_len | payload           (len excludes itself)
+//   payload := u32 magic | u16 version | u16 type | u64 request_id | body
+//   request body  := type fields | u64 deadline_budget_ns   (0 = none)
+//   data response := u8 WireStatus | type fields    (kOk only; a refusal
+//                                                    carries the status alone)
+//   kErrorResp    := u16 code | u16 detail_len | detail bytes
 //
 // so a reader can (1) find frame boundaries without understanding any
 // message, (2) reject foreign or incompatible traffic from the first 6
@@ -16,20 +20,12 @@
 // requests as the owning nodes finish them), so the id is the correlation
 // key, not the position in the stream.
 //
-// Versioning: `kVersion` names the current protocol minor and
-// `kMinVersion` the oldest minor still served.  A server accepts any
-// header version in [kMinVersion, kVersion], remembers the peer's version
-// per connection, and *answers in the peer's version* — so an old-minor
-// client keeps round-tripping byte-identical OK-path frames against a new
-// server.  Versions outside the window get kErrorResp(kBadVersion) and a
-// close.  Minor-version rules (DESIGN.md §12): a new minor may add
-// leading fields to response bodies (v2 data responses prepend a u8
-// status) and new message types; it must keep kErrorResp's layout frozen
-// (it is the fallback every version understands) and must never reorder
-// or resize existing fields — that is a new generation, which resets
-// kMinVersion.  Within a minor, adding message types is compatible
-// (unknown types get kErrorResp(kUnknownType) and the connection
-// survives).
+// There is one layout, named by kVersion, and one rule: any change to it
+// bumps kVersion.  A header whose version is anything else gets
+// kErrorResp(kBadVersion) and a close — the peer speaks a layout this
+// build cannot parse.  Unknown message types, by contrast, answer
+// kErrorResp(kUnknownType) and the connection survives (the frame boundary
+// is intact).
 //
 // Unpacking is bounds-checked by construction: an Unpacker never reads
 // past its span — any underflow latches `failed()` and every later read
@@ -40,33 +36,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace bjrw::net {
 
 inline constexpr std::uint32_t kMagic = 0x424A5257;  // "BJRW"
-// v2: data responses gain a leading u8 status (WireStatus) carrying the
-// server's AdmitResult; v1 frames have no status byte and shed maps to
-// kErrorResp(kBackpressure).
-// v3: lease/TTL message types (kPutTtlReq, kTouchReq, kTouchResp).  Pure
-// type additions — every v1/v2 frame layout is untouched, so OK-path
-// frames for old minors stay byte-identical.  The new request types are
-// *version-gated*: a peer whose header declares < v3 sending them gets
-// kErrorResp(kUnknownType), exactly as if its minor had never heard of
-// them (DispatchEntry::min_version).
-// v4: end-to-end deadlines.  Every request body may carry a *trailing*
-// optional u64 deadline-budget (nanoseconds the client grants the server;
-// the server converts it to an absolute deadline on its own clock at
-// parse time).  The field is optional by length — a v4 frame without it
-// is laid out exactly like its v3 twin except for the header's version
-// bytes, and v1–v3 frames are byte-identical to before (down-negotiated
-// peers never see the field; the packers freeze it off below v4).
-// Refusals for expired deadlines answer with WireStatus::kDeadline (v4+),
-// down-mapped to kShed for v2/v3 peers and kErrorResp(kBackpressure)
-// for v1.
-inline constexpr std::uint16_t kVersion = 4;
-inline constexpr std::uint16_t kMinVersion = 1;
+inline constexpr std::uint16_t kVersion = 5;
 
 // Frame length prefix (u32) + fixed message header.
 inline constexpr std::size_t kFrameLenSize = 4;
@@ -78,20 +55,21 @@ inline constexpr std::size_t kHeaderSize = 4 + 2 + 2 + 8;
 inline constexpr std::size_t kDefaultMaxFrame = 1u << 19;
 
 enum class MsgType : std::uint16_t {
-  // Requests (client -> server).
+  // Requests (client -> server); each body ends with the u64 budget.
   kGetReq = 0,      // body: u64 key
   kPutReq = 1,      // body: u64 key | u64 value
   kEraseReq = 2,    // body: u64 key
   kGetManyReq = 3,  // body: u32 count | count * u64 key
-  kPutTtlReq = 4,   // v3+  body: u64 key | u64 value | u64 ttl_ns
-  kTouchReq = 5,    // v3+  body: u64 key | u64 ttl_ns
-  // Responses (server -> client).
+  kPutTtlReq = 4,   // body: u64 key | u64 value | u64 ttl_ns
+  kTouchReq = 5,    // body: u64 key | u64 ttl_ns
+  // Responses (server -> client); a data response's fields follow its
+  // status byte, kErrorResp has none.
   kGetResp = 16,      // body: u8 found | u64 value (0 when absent)
   kPutResp = 17,      // body: (empty) — also answers kPutTtlReq
   kEraseResp = 18,    // body: u8 erased
   kGetManyResp = 19,  // body: u32 count | count * (u8 found | u64 value)
   kErrorResp = 20,    // body: u16 code | u16 detail_len | detail bytes
-  kTouchResp = 21,    // v3+  body: u8 touched
+  kTouchResp = 21,    // body: u8 touched
 };
 
 enum class ErrorCode : std::uint16_t {
@@ -100,21 +78,17 @@ enum class ErrorCode : std::uint16_t {
   kUnknownType = 3,   // no dispatch entry for `type` (connection survives)
   kMalformed = 4,     // body underflow or trailing bytes (connection survives)
   kFrameTooLarge = 5, // length prefix exceeds the server's ceiling (close)
-  kShuttingDown = 6,  // the KvServer refused the submit (connection survives)
-  kBackpressure = 7,  // v1 mapping of shed/deferred admission refusals
-                      // (connection survives; the client should back off)
 };
 
 // Per-response admission status, mirroring serve::AdmitResult on the wire.
-// v2 data responses carry it as their leading u8; non-kOk responses have
-// no further body (there is no result to report).  v1 peers never see
-// this enum — their refusals arrive as kErrorResp.
+// Every data response leads with it; non-kOk responses have no further
+// body (there is no result to report).
 enum class WireStatus : std::uint8_t {
   kOk = 0,         // request executed; payload follows
   kShed = 1,       // admission shed (token bucket): retry after backoff
   kQueueFull = 2,  // node queue over high water: retry sooner
   kShutdown = 3,   // server stopping
-  kDeadline = 4,   // v4+ deadline budget expired: do not retry
+  kDeadline = 4,   // deadline budget expired: do not retry
 };
 
 // --- packing -----------------------------------------------------------------
@@ -242,18 +216,17 @@ struct MsgHeader {
   std::uint64_t request_id = 0;
 };
 
-inline void pack_header(PackBuffer& b, MsgType type, std::uint64_t request_id,
-                        std::uint16_t version = kVersion) {
+inline void pack_header(PackBuffer& b, MsgType type,
+                        std::uint64_t request_id) {
   b.put_u32(kMagic);
-  b.put_u16(version);
+  b.put_u16(kVersion);
   b.put_u16(static_cast<std::uint16_t>(type));
   b.put_u64(request_id);
 }
 
 // Reads the fixed header.  On false, `*err` says which precondition broke
 // (magic before version: a foreign peer fails on magic, not on a
-// coincidental version number).  Any minor in [kMinVersion, kVersion]
-// passes — the caller answers in h->version.
+// coincidental version number).
 inline bool unpack_header(Unpacker& u, MsgHeader* h, ErrorCode* err) {
   h->magic = u.u32();
   h->version = u.u16();
@@ -267,7 +240,7 @@ inline bool unpack_header(Unpacker& u, MsgHeader* h, ErrorCode* err) {
     *err = ErrorCode::kBadMagic;
     return false;
   }
-  if (h->version < kMinVersion || h->version > kVersion) {
+  if (h->version != kVersion) {
     *err = ErrorCode::kBadVersion;
     return false;
   }
@@ -276,155 +249,140 @@ inline bool unpack_header(Unpacker& u, MsgHeader* h, ErrorCode* err) {
 
 // --- request bodies (client packs, server unpacks) ---------------------------
 //
-// Request bodies are layout-identical across minors; the header's version
-// field is how a client declares the minor it wants answers in.  On v4+
-// every request may append a trailing u64 deadline-budget (relative
-// nanoseconds; 0 = none, and a zero budget is simply not packed, keeping
-// budget-less v4 frames one version-field away from their v3 twins).  The
-// `version >= 4` guard freezes the field off for down-negotiated clients:
-// a pre-v4 header can never be followed by the extra bytes.
-
-inline void pack_deadline_budget(PackBuffer& b, std::uint16_t version,
-                                 std::uint64_t deadline_budget_ns) {
-  if (version >= 4 && deadline_budget_ns != 0) b.put_u64(deadline_budget_ns);
-}
+// Every request body ends with the u64 deadline budget: the nanoseconds
+// the client grants the server, 0 for none.  The server converts it to an
+// absolute deadline on its own clock at parse time.
 
 inline void pack_get_req(PackBuffer& b, std::uint64_t id, std::uint64_t key,
-                         std::uint16_t version = kVersion,
                          std::uint64_t deadline_budget_ns = 0) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kGetReq, id, version);
+  pack_header(b, MsgType::kGetReq, id);
   b.put_u64(key);
-  pack_deadline_budget(b, version, deadline_budget_ns);
+  b.put_u64(deadline_budget_ns);
   b.end_frame(at);
 }
 
 inline void pack_put_req(PackBuffer& b, std::uint64_t id, std::uint64_t key,
                          std::uint64_t value,
-                         std::uint16_t version = kVersion,
                          std::uint64_t deadline_budget_ns = 0) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kPutReq, id, version);
+  pack_header(b, MsgType::kPutReq, id);
   b.put_u64(key);
   b.put_u64(value);
-  pack_deadline_budget(b, version, deadline_budget_ns);
+  b.put_u64(deadline_budget_ns);
   b.end_frame(at);
 }
 
 inline void pack_erase_req(PackBuffer& b, std::uint64_t id, std::uint64_t key,
-                           std::uint16_t version = kVersion,
                            std::uint64_t deadline_budget_ns = 0) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kEraseReq, id, version);
+  pack_header(b, MsgType::kEraseReq, id);
   b.put_u64(key);
-  pack_deadline_budget(b, version, deadline_budget_ns);
+  b.put_u64(deadline_budget_ns);
   b.end_frame(at);
 }
 
 inline void pack_get_many_req(PackBuffer& b, std::uint64_t id,
                               const std::uint64_t* keys, std::uint32_t n,
-                              std::uint16_t version = kVersion,
                               std::uint64_t deadline_budget_ns = 0) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kGetManyReq, id, version);
+  pack_header(b, MsgType::kGetManyReq, id);
   b.put_u32(n);
   for (std::uint32_t i = 0; i < n; ++i) b.put_u64(keys[i]);
-  pack_deadline_budget(b, version, deadline_budget_ns);
+  b.put_u64(deadline_budget_ns);
   b.end_frame(at);
 }
 
-// v3+: put with an attached lease TTL.  Answered with a plain kPutResp —
-// the response vocabulary is unchanged, only the request carries more.
+// A put with an attached lease TTL.  Answered with a plain kPutResp — the
+// response vocabulary is unchanged, only the request carries more.
 inline void pack_put_ttl_req(PackBuffer& b, std::uint64_t id,
                              std::uint64_t key, std::uint64_t value,
                              std::uint64_t ttl_ns,
-                             std::uint16_t version = kVersion,
                              std::uint64_t deadline_budget_ns = 0) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kPutTtlReq, id, version);
+  pack_header(b, MsgType::kPutTtlReq, id);
   b.put_u64(key);
   b.put_u64(value);
   b.put_u64(ttl_ns);
-  pack_deadline_budget(b, version, deadline_budget_ns);
+  b.put_u64(deadline_budget_ns);
   b.end_frame(at);
 }
 
-// v3+: extend an existing key's lease.
+// Extends an existing key's lease.
 inline void pack_touch_req(PackBuffer& b, std::uint64_t id, std::uint64_t key,
                            std::uint64_t ttl_ns,
-                           std::uint16_t version = kVersion,
                            std::uint64_t deadline_budget_ns = 0) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kTouchReq, id, version);
+  pack_header(b, MsgType::kTouchReq, id);
   b.put_u64(key);
   b.put_u64(ttl_ns);
-  pack_deadline_budget(b, version, deadline_budget_ns);
+  b.put_u64(deadline_budget_ns);
   b.end_frame(at);
 }
 
 // --- response bodies (server packs, client unpacks) --------------------------
 //
-// Data responses are packed in the *peer's* version: v1 bodies are the
-// historical layouts verbatim; v2 bodies prepend a u8 WireStatus (always
-// kOk here — refusals go through pack_status_resp).  kErrorResp's layout
-// is frozen across minors.
+// The data-response packers write a kOk status byte; refusals go through
+// pack_status_resp.
+
+inline std::size_t begin_ok_resp(PackBuffer& b, MsgType type,
+                                 std::uint64_t id) {
+  const std::size_t at = b.begin_frame();
+  pack_header(b, type, id);
+  b.put_u8(static_cast<std::uint8_t>(WireStatus::kOk));
+  return at;
+}
 
 inline void pack_get_resp(PackBuffer& b, std::uint64_t id, bool found,
-                          std::uint64_t value,
-                          std::uint16_t version = kVersion) {
-  const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kGetResp, id, version);
-  if (version >= 2) b.put_u8(static_cast<std::uint8_t>(WireStatus::kOk));
+                          std::uint64_t value) {
+  const std::size_t at = begin_ok_resp(b, MsgType::kGetResp, id);
   b.put_u8(found ? 1 : 0);
   b.put_u64(found ? value : 0);
   b.end_frame(at);
 }
 
-inline void pack_put_resp(PackBuffer& b, std::uint64_t id,
-                          std::uint16_t version = kVersion) {
-  const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kPutResp, id, version);
-  if (version >= 2) b.put_u8(static_cast<std::uint8_t>(WireStatus::kOk));
-  b.end_frame(at);
+inline void pack_put_resp(PackBuffer& b, std::uint64_t id) {
+  b.end_frame(begin_ok_resp(b, MsgType::kPutResp, id));
 }
 
-inline void pack_erase_resp(PackBuffer& b, std::uint64_t id, bool erased,
-                            std::uint16_t version = kVersion) {
-  const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kEraseResp, id, version);
-  if (version >= 2) b.put_u8(static_cast<std::uint8_t>(WireStatus::kOk));
+inline void pack_erase_resp(PackBuffer& b, std::uint64_t id, bool erased) {
+  const std::size_t at = begin_ok_resp(b, MsgType::kEraseResp, id);
   b.put_u8(erased ? 1 : 0);
   b.end_frame(at);
 }
 
-// v3+ only (kTouchReq is version-gated, so the status-byte branch is
-// always taken in practice; the `version >= 2` guard keeps the helper
-// uniform with its siblings).
-inline void pack_touch_resp(PackBuffer& b, std::uint64_t id, bool touched,
-                            std::uint16_t version = kVersion) {
-  const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kTouchResp, id, version);
-  if (version >= 2) b.put_u8(static_cast<std::uint8_t>(WireStatus::kOk));
+inline void pack_touch_resp(PackBuffer& b, std::uint64_t id, bool touched) {
+  const std::size_t at = begin_ok_resp(b, MsgType::kTouchResp, id);
   b.put_u8(touched ? 1 : 0);
   b.end_frame(at);
 }
 
-// v2-only refusal frame: the response type the request would have gotten,
+inline void pack_get_many_resp(PackBuffer& b, std::uint64_t id,
+                               const std::optional<std::uint64_t>* values,
+                               std::uint32_t n) {
+  const std::size_t at = begin_ok_resp(b, MsgType::kGetManyResp, id);
+  b.put_u32(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    b.put_u8(values[i].has_value() ? 1 : 0);
+    b.put_u64(values[i].value_or(0));
+  }
+  b.end_frame(at);
+}
+
+// Refusal frame: the response type the request would have gotten,
 // carrying just the non-kOk status (no payload — nothing was executed).
 inline void pack_status_resp(PackBuffer& b, MsgType type, std::uint64_t id,
-                             WireStatus status,
-                             std::uint16_t version = kVersion) {
+                             WireStatus status) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, type, id, version);
+  pack_header(b, type, id);
   b.put_u8(static_cast<std::uint8_t>(status));
   b.end_frame(at);
 }
 
 inline void pack_error_resp(PackBuffer& b, std::uint64_t id, ErrorCode code,
-                            const std::string& detail,
-                            std::uint16_t version = kVersion) {
+                            const std::string& detail) {
   const std::size_t at = b.begin_frame();
-  pack_header(b, MsgType::kErrorResp, id, version);
+  pack_header(b, MsgType::kErrorResp, id);
   b.put_u16(static_cast<std::uint16_t>(code));
   const std::uint16_t n = static_cast<std::uint16_t>(
       detail.size() > 0xFFFF ? 0xFFFF : detail.size());
@@ -439,17 +397,11 @@ inline void pack_error_resp(PackBuffer& b, std::uint64_t id, ErrorCode code,
 // switch-casing, so adding a message type is one row + one handler, and
 // the wire test can assert every request type is reachable.  `Handler` is
 // an opaque tag the server instantiates with its member-function type.
-// `min_version` gates version-dependent request types: a peer whose header
-// declares an older minor gets the same kErrorResp(kUnknownType) it would
-// get for a type that minor never defined — down-negotiated connections
-// cannot smuggle newer requests.  The NSDMI keeps three-field aggregate
-// initializers (the pre-v3 table rows) compiling unchanged.
 template <class Handler>
 struct DispatchEntry {
   MsgType type;
   const char* name;
   Handler handler;
-  std::uint16_t min_version = kMinVersion;
 };
 
 template <class Handler, std::size_t N>

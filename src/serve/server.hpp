@@ -307,8 +307,8 @@ class KvServer {
 
   // Leased put: the entry expires ttl_ns after execution unless rewritten,
   // touched, or erased first.  Requires cfg.expiry_enabled (a plain put is
-  // performed otherwise — the TTL is ignored, matching the wire protocol's
-  // down-negotiation rule).
+  // performed otherwise — the TTL is ignored, as it is for a kPutTtlReq
+  // sent to such a server).
   void put_with_ttl(std::uint64_t key, std::uint64_t value,
                     std::uint64_t ttl_ns) {
     Request r;

@@ -8,14 +8,15 @@
 //     executed — observable as Request::dropped and NodeServeStats::
 //     deadline_drops),
 //
-// then end to end over the wire: a v4 client's deadline budget comes back
-// as WireStatus::kDeadline, a v3 client sees the same verdict down-mapped
-// to kShed, and the client/server counter views reconcile.  The dequeue
+// then end to end over the wire: a client's deadline budget comes back as
+// WireStatus::kDeadline, the loadgen counts those verdicts without
+// retrying them, and the client/server counter views reconcile.  The dequeue
 // choreography is deterministic: one worker wedged on a held shard write
 // lock while a VirtualClock advances past the queued request's deadline.
 // The CI stress matrix also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "src/harness/timing.hpp"
 #include "src/harness/topology.hpp"
 #include "src/net/client.hpp"
+#include "src/net/loadgen.hpp"
 #include "src/net/net_server.hpp"
 #include "src/serve/server.hpp"
 
@@ -179,7 +181,7 @@ void run_wedged(WireFixture& fx, Op&& op) {
   EXPECT_EQ(wedge.hits.load(), 1u);
 }
 
-TEST(DeadlineServe, WireV4BudgetComesBackAsDeadlineStatus) {
+TEST(DeadlineServe, WireBudgetComesBackAsDeadlineStatus) {
   WireFixture fx;
   ASSERT_TRUE(fx.net.ok());
   net::ClientConfig cfg;
@@ -210,40 +212,42 @@ TEST(DeadlineServe, WireV4BudgetComesBackAsDeadlineStatus) {
   EXPECT_EQ(c->get(9).value_or(0), 90u);
 }
 
-TEST(DeadlineServe, PreV4PeerSeesShedAndNeverTheField) {
-  // Down-negotiation: a v3 client never packs the budget field (its ops
-  // run with no deadline), and when the server must refuse a v4-origin
-  // verdict to a v3 peer it down-maps kDeadline to kShed.  Here the v3
-  // client sets a budget in its config — the frames must stay v3-shaped
-  // (the server would answer kMalformed otherwise) and no op is ever
-  // deadline-dropped.
-  WireFixture fx;
-  ASSERT_TRUE(fx.net.ok());
-  net::ClientConfig cfg;
-  cfg.version = 3;
-  cfg.deadline_budget_ns = 1'000'000;  // frozen off the wire below v4
-  auto c = net::KvClient::connect(fx.net.port(), cfg);
-  ASSERT_TRUE(c.has_value());
+// A clock that moves 1ns per reading: a 1ns budget stamped at parse time
+// has always expired by the admission check that reads the clock next.
+class TickingClock final : public ClockSource {
+ public:
+  std::uint64_t now_ns() const override { return t_.fetch_add(1) + 1; }
 
-  std::uint64_t id = 0;
-  run_wedged(fx, [&] {
-    id = c->submit_put(8, 80);
-    ASSERT_TRUE(c->flush());
-  });
+ private:
+  mutable std::atomic<std::uint64_t> t_{1'000};
+};
 
-  net::Response r;
-  ASSERT_TRUE(c->recv_response(&r));
-  EXPECT_EQ(r.id, id);
-  EXPECT_EQ(r.type, net::MsgType::kPutResp);
-  // No budget crossed the wire, so the op carried no deadline and simply
-  // executed once the wedge lifted.
-  EXPECT_EQ(r.status, net::WireStatus::kOk);
-  EXPECT_EQ(fx.kv.get(8).value_or(0), 80u);
-  EXPECT_EQ(fx.kv.node_stats(0).deadline_drops, 0u);
-
-  // Mixed-version traffic against the same server stays healthy.
-  EXPECT_TRUE(c->put(10, 100));
-  EXPECT_EQ(c->get(10).value_or(0), 100u);
+TEST(DeadlineServe, LoadgenNeverRetriesDeadlineRefusals) {
+  // Every op carries a 1ns budget, so the admission edge refuses each one
+  // kDeadline.  The budget is spent: the loadgen must count the verdicts
+  // and schedule no retry, even with attempts to spare.
+  TickingClock clock;
+  KvServer<WriterPriorityLock> kv(
+      Topology::simulated(1, 2),
+      ServeConfig{}.with_workers(1).with_pin(false).with_clock(&clock));
+  NetSrv net(kv, {});
+  ASSERT_TRUE(net.ok());
+  net::LoadgenConfig cfg;
+  cfg.port = net.port();
+  cfg.connections = 2;
+  cfg.depth = 2;
+  cfg.requests_per_conn = 20;
+  cfg.client.op_timeout_ms = 10'000;
+  cfg.client.deadline_budget_ns = 1;
+  cfg.client.retry.max_attempts = 4;
+  const net::LoadgenResult r = net::run_loadgen(cfg);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.deadline, 40u);  // every op, each refused once
+  EXPECT_EQ(r.requests, 40u);
+  EXPECT_EQ(r.retries, 0u);
+  EXPECT_EQ(r.errors + r.shed + r.deferred + r.timeouts, 0u);
+  // Client and server views reconcile: every verdict came from the edge.
+  EXPECT_EQ(kv.node_stats(0).deadline_refused, r.deadline);
 }
 
 }  // namespace

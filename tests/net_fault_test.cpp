@@ -3,9 +3,12 @@
 // replay bit-for-bit, reset offsets fire at the chosen byte, MSG_NOSIGNAL
 // keeps a dead peer from killing the process (the SIGPIPE regression),
 // short/split/coalesced/delayed I/O preserves end-to-end integrity, a
-// connection reset is survived by the client's reconnect path, and a hung
-// server costs the per-op budget instead of blocking forever.  The CI
-// stress matrix also runs this binary under ThreadSanitizer.
+// connection reset is survived by the client's reconnect path (the sync
+// conveniences and the loadgen's pipelines alike), shed refusals are
+// retried within their attempt budget, a hung server costs the per-op
+// budget instead of blocking forever, and an op budget too large for the
+// clock never expires.  The CI stress matrix also runs this binary under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -22,6 +25,7 @@
 #include "src/harness/prng.hpp"
 #include "src/harness/topology.hpp"
 #include "src/net/client.hpp"
+#include "src/net/loadgen.hpp"
 #include "src/net/net_server.hpp"
 #include "src/serve/server.hpp"
 
@@ -260,6 +264,71 @@ TEST(NetFault, ConnectionResetAtOffsetIsSurvivedByReconnect) {
     ASSERT_EQ(c->get(k).value_or(0), k + 5) << "get " << k;
 }
 
+// ---- the loadgen's retry path ------------------------------------------------
+
+// Every attempt of every op ends exactly one way: answered (requests),
+// lost to a transport failure (errors / timeouts).  Attempts are the ops
+// plus the retries scheduled for them, so this identity says no op was
+// dropped uncounted and none was retried without a cause.
+void expect_every_attempt_accounted(const LoadgenConfig& cfg,
+                                    const LoadgenResult& r) {
+  const std::uint64_t ops = static_cast<std::uint64_t>(cfg.connections) *
+                            static_cast<std::uint64_t>(cfg.requests_per_conn);
+  EXPECT_EQ(r.requests + r.errors + r.timeouts, ops + r.retries);
+}
+
+TEST(NetFault, LoadgenRetriesShedOpsWithinTheirBudget) {
+  // A 16-token bucket per node that never refills in test time: the first
+  // ops are admitted, the rest shed and are retried until their attempts
+  // run out.  Refusals are flow control, so every connection finishes.
+  Loopback lb({}, Loopback::server_config().with_admission(/*rate=*/1e-3,
+                                                           /*bucket=*/16));
+  ASSERT_TRUE(lb.net.ok());
+  LoadgenConfig cfg;
+  cfg.port = lb.net.port();
+  cfg.connections = 2;
+  cfg.depth = 2;
+  cfg.requests_per_conn = 30;
+  cfg.client.op_timeout_ms = 10'000;
+  cfg.client.retry.max_attempts = 3;
+  cfg.client.retry.base_backoff_ns = 10'000;
+  const LoadgenResult r = run_loadgen(cfg);
+  EXPECT_TRUE(r.ok);
+  EXPECT_GT(r.shed, 0u);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_LE(r.retries, r.shed + r.deferred);  // only refusals were retried
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_EQ(r.timeouts, 0u);
+  EXPECT_EQ(r.reconnects, 0u);
+  expect_every_attempt_accounted(cfg, r);
+}
+
+TEST(NetFault, LoadgenReconnectsThroughResetAndAccountsEveryOp) {
+  FaultPlan plan;
+  plan.seed = test_seed(0x10AD);
+  plan.reset_write_at = 1'000;  // each socket dies ~a dozen frames in
+  FaultInjector fi(plan);
+  ScopedFaultInjection guard(fi);
+  // Declared after the injector so it is destroyed first (see above).
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
+  LoadgenConfig cfg;
+  cfg.port = lb.net.port();
+  cfg.connections = 2;
+  cfg.depth = 4;
+  cfg.requests_per_conn = 60;
+  cfg.client.op_timeout_ms = 5'000;
+  cfg.client.retry.max_attempts = 4;
+  cfg.client.retry.base_backoff_ns = 100'000;
+  const LoadgenResult r = run_loadgen(cfg);
+  EXPECT_TRUE(r.ok);
+  EXPECT_GE(fi.resets(), 1u);
+  EXPECT_GE(r.reconnects, 1u);
+  EXPECT_GT(r.errors, 0u);  // the ops the resets swallowed
+  EXPECT_EQ(r.shed + r.deferred + r.deadline, 0u);
+  expect_every_attempt_accounted(cfg, r);
+}
+
 // ---- hung server: the per-op budget bounds the wait --------------------------
 
 TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
@@ -297,6 +366,21 @@ TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
                 .count(),
             5'000);
   ::close(lfd);
+}
+
+TEST(NetFault, HugeOpTimeoutMeansNoDeadlineNotAnExpiredOne) {
+  // A budget too large to add to the clock must saturate: wrapping it put
+  // the deadline in the past and failed every op kTimeout at once.
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
+  ClientConfig cfg;
+  cfg.op_timeout_ms = ~std::uint64_t{0};
+  auto c = KvClient::connect(lb.net.port(), cfg);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_TRUE(c->put(3, 30));
+  EXPECT_EQ(c->get(3).value_or(0), 30u);
+  EXPECT_EQ(c->timeouts(), 0u);
+  EXPECT_EQ(c->last_error(), ClientError::kNone);
 }
 
 }  // namespace

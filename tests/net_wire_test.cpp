@@ -1,11 +1,13 @@
-// Tier-1 suite for the versioned wire protocol (src/net/wire.hpp):
-// big-endian scalar layout, frame length back-patching, header
-// magic/version gating, every request/response body roundtripping through
-// its own pack helper, the Unpacker's latching bounds checks, and the
-// message-type dispatch table.
+// Tier-1 suite for the wire protocol (src/net/wire.hpp): big-endian scalar
+// layout, frame length back-patching, header magic/version gating, every
+// request/response body roundtripping through its own pack helper, one
+// byte-exact golden frame per message type, the Unpacker's latching bounds
+// checks, and the message-type dispatch table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,15 +108,15 @@ TEST(Wire, HeaderRejectsBadMagicThenBadVersion) {
     ASSERT_FALSE(unpack_header(u, &h, &err));
     EXPECT_EQ(err, ErrorCode::kBadMagic);
   }
-  // Right magic, wrong generation.
-  std::vector<std::uint8_t> wrongv(b.data(), b.data() + b.size());
-  wrongv[5] = static_cast<std::uint8_t>(kVersion + 1);
-  {
+  // Right magic, any other version — the previous layout included.
+  for (const int v : {kVersion - 1, kVersion + 1}) {
+    std::vector<std::uint8_t> wrongv(b.data(), b.data() + b.size());
+    wrongv[5] = static_cast<std::uint8_t>(v);
     Unpacker u(wrongv.data(), wrongv.size());
     MsgHeader h;
     ErrorCode err;
-    ASSERT_FALSE(unpack_header(u, &h, &err));
-    EXPECT_EQ(err, ErrorCode::kBadVersion);
+    ASSERT_FALSE(unpack_header(u, &h, &err)) << "version " << v;
+    EXPECT_EQ(err, ErrorCode::kBadVersion) << "version " << v;
   }
   // Truncated header: malformed, not a magic/version complaint.
   {
@@ -136,16 +138,18 @@ TEST(Wire, RequestBodiesRoundtrip) {
     ASSERT_TRUE(unpack_header(u, &h, &err));
     EXPECT_EQ(h.type, MsgType::kGetReq);
     EXPECT_EQ(u.u64(), 0xAABBu);
+    EXPECT_EQ(u.u64(), 0u);  // no deadline budget
     EXPECT_TRUE(u.exhausted());
   }
   {
     PackBuffer b;
-    pack_put_req(b, 8, 5, 500);
+    pack_put_req(b, 8, 5, 500, /*deadline_budget_ns=*/9'000);
     Unpacker u = payload_of(b);
     ASSERT_TRUE(unpack_header(u, &h, &err));
     EXPECT_EQ(h.type, MsgType::kPutReq);
     EXPECT_EQ(u.u64(), 5u);
     EXPECT_EQ(u.u64(), 500u);
+    EXPECT_EQ(u.u64(), 9'000u);
     EXPECT_TRUE(u.exhausted());
   }
   {
@@ -155,25 +159,28 @@ TEST(Wire, RequestBodiesRoundtrip) {
     ASSERT_TRUE(unpack_header(u, &h, &err));
     EXPECT_EQ(h.type, MsgType::kEraseReq);
     EXPECT_EQ(u.u64(), 11u);
+    EXPECT_EQ(u.u64(), 0u);
     EXPECT_TRUE(u.exhausted());
   }
   {
     const std::uint64_t keys[] = {3, 1, 4, 1, 5};
     PackBuffer b;
     pack_get_many_req(b, 10, keys, 5);
-    EXPECT_EQ(frame_len(b), kHeaderSize + 4 + 5 * 8);
+    EXPECT_EQ(frame_len(b), kHeaderSize + 4 + 5 * 8 + 8);
     Unpacker u = payload_of(b);
     ASSERT_TRUE(unpack_header(u, &h, &err));
     EXPECT_EQ(h.type, MsgType::kGetManyReq);
     ASSERT_EQ(u.u32(), 5u);
     for (const std::uint64_t k : keys) EXPECT_EQ(u.u64(), k);
+    EXPECT_EQ(u.u64(), 0u);
     EXPECT_TRUE(u.exhausted());
-    // Empty batch is a legal frame: count 0, no keys.
+    // Empty batch is a legal frame: count 0, no keys, then the budget.
     PackBuffer e;
     pack_get_many_req(e, 11, nullptr, 0);
     Unpacker ue = payload_of(e);
     ASSERT_TRUE(unpack_header(ue, &h, &err));
     EXPECT_EQ(ue.u32(), 0u);
+    EXPECT_EQ(ue.u64(), 0u);
     EXPECT_TRUE(ue.exhausted());
   }
 }
@@ -182,7 +189,7 @@ TEST(Wire, ResponseBodiesRoundtrip) {
   MsgHeader h;
   ErrorCode err;
   {
-    // v2 (the default): data responses lead with the u8 WireStatus.
+    // Data responses lead with the u8 WireStatus.
     PackBuffer b;
     pack_get_resp(b, 1, true, 77);
     Unpacker u = payload_of(b);
@@ -215,29 +222,23 @@ TEST(Wire, ResponseBodiesRoundtrip) {
     EXPECT_TRUE(u.exhausted());
   }
   {
-    // v1 framing on request: OK-path bodies stay byte-identical to the
-    // historical layouts — no status byte anywhere.
+    const std::optional<std::uint64_t> vals[] = {std::nullopt, 42};
     PackBuffer b;
-    pack_get_resp(b, 1, true, 77, kMinVersion);
+    pack_get_many_resp(b, 6, vals, 2);
     Unpacker u = payload_of(b);
     ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kGetResp);
-    EXPECT_EQ(h.version, kMinVersion);
+    EXPECT_EQ(h.type, MsgType::kGetManyResp);
+    EXPECT_EQ(u.u8(), static_cast<std::uint8_t>(WireStatus::kOk));
+    ASSERT_EQ(u.u32(), 2u);
+    EXPECT_EQ(u.u8(), 0u);
+    EXPECT_EQ(u.u64(), 0u);
     EXPECT_EQ(u.u8(), 1u);
-    EXPECT_EQ(u.u64(), 77u);
+    EXPECT_EQ(u.u64(), 42u);
     EXPECT_TRUE(u.exhausted());
-
-    PackBuffer p;
-    pack_put_resp(p, 2, kMinVersion);
-    EXPECT_EQ(frame_len(p), kHeaderSize);  // empty body, as in v1
-    Unpacker up = payload_of(p);
-    ASSERT_TRUE(unpack_header(up, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kPutResp);
-    EXPECT_TRUE(up.exhausted());
   }
   {
-    // v2 refusal frame: the would-be response type carrying just the
-    // non-kOk status — nothing was executed, so there is no payload.
+    // Refusal frame: the would-be response type carrying just the non-kOk
+    // status — nothing was executed, so there is no payload.
     PackBuffer b;
     pack_status_resp(b, MsgType::kGetResp, 5, WireStatus::kShed);
     EXPECT_EQ(frame_len(b), kHeaderSize + 1);
@@ -282,15 +283,13 @@ TEST(Wire, DispatchTableFindsEveryRequestTypeAndRejectsOthers) {
 }
 
 
-// --- v3 lease/TTL additions --------------------------------------------------
-
-TEST(Wire, V3RequestAndResponseBodiesRoundtrip) {
+TEST(Wire, TtlRequestAndResponseBodiesRoundtrip) {
   MsgHeader h;
   ErrorCode err;
   {
     PackBuffer b;
     pack_put_ttl_req(b, 30, 5, 500, 1'000'000);
-    EXPECT_EQ(frame_len(b), kHeaderSize + 3 * 8);
+    EXPECT_EQ(frame_len(b), kHeaderSize + 4 * 8);
     Unpacker u = payload_of(b);
     ASSERT_TRUE(unpack_header(u, &h, &err));
     EXPECT_EQ(h.type, MsgType::kPutTtlReq);
@@ -298,6 +297,7 @@ TEST(Wire, V3RequestAndResponseBodiesRoundtrip) {
     EXPECT_EQ(u.u64(), 5u);
     EXPECT_EQ(u.u64(), 500u);
     EXPECT_EQ(u.u64(), 1'000'000u);
+    EXPECT_EQ(u.u64(), 0u);
     EXPECT_TRUE(u.exhausted());
   }
   {
@@ -308,6 +308,7 @@ TEST(Wire, V3RequestAndResponseBodiesRoundtrip) {
     EXPECT_EQ(h.type, MsgType::kTouchReq);
     EXPECT_EQ(u.u64(), 9u);
     EXPECT_EQ(u.u64(), 2'000'000u);
+    EXPECT_EQ(u.u64(), 0u);
     EXPECT_TRUE(u.exhausted());
   }
   {
@@ -322,204 +323,148 @@ TEST(Wire, V3RequestAndResponseBodiesRoundtrip) {
   }
 }
 
-// The v3 compatibility bar: every v1 and v2 OK-path frame must be byte-
-// for-byte identical to what those minors produced before the bump.  The
-// expected buffers are written out longhand — golden bytes, not a second
-// copy of the packer — so a layout regression cannot hide behind a shared
-// helper.
-TEST(Wire, OldMinorOkPathFramesAreByteIdenticalGoldens) {
-  const auto golden = [](std::uint16_t version, MsgType type,
-                         std::uint64_t id,
-                         const std::vector<std::uint8_t>& body) {
-    std::vector<std::uint8_t> f;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(kHeaderSize + body.size());
-    for (int s = 24; s >= 0; s -= 8)
-      f.push_back(static_cast<std::uint8_t>(len >> s));
-    for (int s = 24; s >= 0; s -= 8)
-      f.push_back(static_cast<std::uint8_t>(kMagic >> s));
-    f.push_back(static_cast<std::uint8_t>(version >> 8));
-    f.push_back(static_cast<std::uint8_t>(version));
-    const auto t = static_cast<std::uint16_t>(type);
-    f.push_back(static_cast<std::uint8_t>(t >> 8));
-    f.push_back(static_cast<std::uint8_t>(t));
-    for (int s = 56; s >= 0; s -= 8)
-      f.push_back(static_cast<std::uint8_t>(id >> s));
-    f.insert(f.end(), body.begin(), body.end());
-    return f;
-  };
-  const auto expect_bytes = [](const PackBuffer& b,
-                               const std::vector<std::uint8_t>& want) {
-    ASSERT_EQ(b.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(b.data()[i], want[i]) << "byte " << i;
-  };
-  {
-    // v1 get response: u8 found | u64 value — no status byte.
-    PackBuffer b;
-    pack_get_resp(b, 0x0102030405060708ULL, true, 0x0A, 1);
-    expect_bytes(b, golden(1, MsgType::kGetResp, 0x0102030405060708ULL,
-                           {1, 0, 0, 0, 0, 0, 0, 0, 0x0A}));
-  }
-  {
-    // v1 put response: empty body.
-    PackBuffer b;
-    pack_put_resp(b, 2, 1);
-    expect_bytes(b, golden(1, MsgType::kPutResp, 2, {}));
-  }
-  {
-    // v2 erase response: u8 status | u8 erased.
-    PackBuffer b;
-    pack_erase_resp(b, 3, true, 2);
-    expect_bytes(b, golden(2, MsgType::kEraseResp, 3, {0, 1}));
-  }
-  {
-    // kErrorResp layout is frozen across every minor.
-    PackBuffer b;
-    pack_error_resp(b, 4, ErrorCode::kUnknownType, "x", 3);
-    expect_bytes(b, golden(3, MsgType::kErrorResp, 4, {0, 3, 0, 1, 'x'}));
-  }
+// The layout pinned byte for byte: one golden frame per request type and
+// per response type.  The expected buffers are written out longhand —
+// golden bytes, not a second copy of the packer — so a layout change
+// cannot slip through without touching this test (and bumping kVersion).
+std::vector<std::uint8_t> golden(MsgType type, std::uint64_t id,
+                                 const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> f;
+  const std::uint32_t len =
+      static_cast<std::uint32_t>(kHeaderSize + body.size());
+  for (int s = 24; s >= 0; s -= 8)
+    f.push_back(static_cast<std::uint8_t>(len >> s));
+  for (int s = 24; s >= 0; s -= 8)
+    f.push_back(static_cast<std::uint8_t>(kMagic >> s));
+  f.push_back(0);
+  f.push_back(5);  // version
+  const auto t = static_cast<std::uint16_t>(type);
+  f.push_back(static_cast<std::uint8_t>(t >> 8));
+  f.push_back(static_cast<std::uint8_t>(t));
+  for (int s = 56; s >= 0; s -= 8)
+    f.push_back(static_cast<std::uint8_t>(id >> s));
+  f.insert(f.end(), body.begin(), body.end());
+  return f;
 }
 
-// The v4 deadline-budget field: an optional trailing u64 on every request
-// body, packed only when (version >= 4 && budget != 0).  Golden bytes for
-// the packed shape, plus the freeze bar — a pre-v4 frame must stay byte-
-// identical no matter what budget the caller passes (down-negotiation
-// means the peer never sees the field).
-TEST(Wire, V4DeadlineBudgetGoldensAndPreV4Freeze) {
-  const auto golden = [](std::uint16_t version, MsgType type,
-                         std::uint64_t id,
-                         const std::vector<std::uint8_t>& body) {
-    std::vector<std::uint8_t> f;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(kHeaderSize + body.size());
-    for (int s = 24; s >= 0; s -= 8)
-      f.push_back(static_cast<std::uint8_t>(len >> s));
-    for (int s = 24; s >= 0; s -= 8)
-      f.push_back(static_cast<std::uint8_t>(kMagic >> s));
-    f.push_back(static_cast<std::uint8_t>(version >> 8));
-    f.push_back(static_cast<std::uint8_t>(version));
-    const auto t = static_cast<std::uint16_t>(type);
-    f.push_back(static_cast<std::uint8_t>(t >> 8));
-    f.push_back(static_cast<std::uint8_t>(t));
-    for (int s = 56; s >= 0; s -= 8)
-      f.push_back(static_cast<std::uint8_t>(id >> s));
-    f.insert(f.end(), body.begin(), body.end());
-    return f;
-  };
-  const auto expect_bytes = [](const PackBuffer& b,
-                               const std::vector<std::uint8_t>& want) {
-    ASSERT_EQ(b.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(b.data()[i], want[i]) << "byte " << i;
-  };
+void expect_bytes(const PackBuffer& b, const std::vector<std::uint8_t>& want) {
+  ASSERT_EQ(b.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(b.data()[i], want[i]) << "byte " << i;
+}
+
+// Big-endian u64 bytes, for readable body literals.
+std::vector<std::uint8_t> be64(std::uint64_t v) {
+  std::vector<std::uint8_t> out;
+  for (int s = 56; s >= 0; s -= 8)
+    out.push_back(static_cast<std::uint8_t>(v >> s));
+  return out;
+}
+
+std::vector<std::uint8_t> cat(
+    std::initializer_list<std::vector<std::uint8_t>> parts) {
+  std::vector<std::uint8_t> out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+TEST(Wire, RequestFramesMatchGoldens) {
   constexpr std::uint64_t kBudget = 0x1122334455667788ULL;
-  const std::vector<std::uint8_t> kBudgetBytes = {0x11, 0x22, 0x33, 0x44,
-                                                  0x55, 0x66, 0x77, 0x88};
-  const auto with_budget = [&](std::vector<std::uint8_t> body) {
-    body.insert(body.end(), kBudgetBytes.begin(), kBudgetBytes.end());
-    return body;
-  };
   {
-    // v4 get: u64 key | u64 budget.
+    // get: u64 key | u64 budget.
     PackBuffer b;
-    pack_get_req(b, 1, 0x0B, 4, kBudget);
-    expect_bytes(b, golden(4, MsgType::kGetReq, 1,
-                           with_budget({0, 0, 0, 0, 0, 0, 0, 0x0B})));
+    pack_get_req(b, 0x0102030405060708ULL, 0x0B, kBudget);
+    expect_bytes(b, golden(MsgType::kGetReq, 0x0102030405060708ULL,
+                           cat({be64(0x0B), be64(kBudget)})));
   }
   {
-    // v4 get, budget 0: the field is absent, not zero-filled.
+    // put: u64 key | u64 value | u64 budget; no budget is a zero field,
+    // never an absent one.
     PackBuffer b;
-    pack_get_req(b, 1, 0x0B, 4, 0);
-    expect_bytes(b, golden(4, MsgType::kGetReq, 1,
-                           {0, 0, 0, 0, 0, 0, 0, 0x0B}));
+    pack_put_req(b, 2, 0x0B, 0x0C);
+    expect_bytes(b, golden(MsgType::kPutReq, 2,
+                           cat({be64(0x0B), be64(0x0C), be64(0)})));
   }
   {
-    // v4 put: u64 key | u64 value | u64 budget.
+    // erase: u64 key | u64 budget.
     PackBuffer b;
-    pack_put_req(b, 2, 0x0B, 0x0C, 4, kBudget);
-    expect_bytes(b, golden(4, MsgType::kPutReq, 2,
-                           with_budget({0, 0, 0, 0, 0, 0, 0, 0x0B,
-                                        0, 0, 0, 0, 0, 0, 0, 0x0C})));
+    pack_erase_req(b, 3, 0x0D, kBudget);
+    expect_bytes(b, golden(MsgType::kEraseReq, 3,
+                           cat({be64(0x0D), be64(kBudget)})));
   }
   {
-    // v4 erase: u64 key | u64 budget.
-    PackBuffer b;
-    pack_erase_req(b, 3, 0x0D, 4, kBudget);
-    expect_bytes(b, golden(4, MsgType::kEraseReq, 3,
-                           with_budget({0, 0, 0, 0, 0, 0, 0, 0x0D})));
-  }
-  {
-    // v4 get_many: u32 n | n x u64 key | u64 budget.
+    // get_many: u32 n | n x u64 key | u64 budget.
     PackBuffer b;
     const std::uint64_t keys[2] = {0x01, 0x02};
-    pack_get_many_req(b, 4, keys, 2, 4, kBudget);
-    expect_bytes(b, golden(4, MsgType::kGetManyReq, 4,
-                           with_budget({0, 0, 0, 2,
-                                        0, 0, 0, 0, 0, 0, 0, 1,
-                                        0, 0, 0, 0, 0, 0, 0, 2})));
+    pack_get_many_req(b, 4, keys, 2, kBudget);
+    expect_bytes(b, golden(MsgType::kGetManyReq, 4,
+                           cat({{0, 0, 0, 2}, be64(1), be64(2),
+                                be64(kBudget)})));
   }
   {
-    // v4 put_ttl: u64 key | u64 value | u64 ttl | u64 budget.
+    // put_ttl: u64 key | u64 value | u64 ttl | u64 budget.
     PackBuffer b;
-    pack_put_ttl_req(b, 5, 0x0B, 0x0C, 0x0E, 4, kBudget);
-    expect_bytes(b, golden(4, MsgType::kPutTtlReq, 5,
-                           with_budget({0, 0, 0, 0, 0, 0, 0, 0x0B,
-                                        0, 0, 0, 0, 0, 0, 0, 0x0C,
-                                        0, 0, 0, 0, 0, 0, 0, 0x0E})));
+    pack_put_ttl_req(b, 5, 0x0B, 0x0C, 0x0E, kBudget);
+    expect_bytes(b, golden(MsgType::kPutTtlReq, 5,
+                           cat({be64(0x0B), be64(0x0C), be64(0x0E),
+                                be64(kBudget)})));
   }
   {
-    // v4 touch: u64 key | u64 ttl | u64 budget.
+    // touch: u64 key | u64 ttl | u64 budget.
     PackBuffer b;
-    pack_touch_req(b, 6, 0x0B, 0x0E, 4, kBudget);
-    expect_bytes(b, golden(4, MsgType::kTouchReq, 6,
-                           with_budget({0, 0, 0, 0, 0, 0, 0, 0x0B,
-                                        0, 0, 0, 0, 0, 0, 0, 0x0E})));
-  }
-  // The freeze: v1–v3 frames ignore the budget entirely — byte-identical
-  // with and without it, for every request packer.
-  for (std::uint16_t v = 1; v <= 3; ++v) {
-    PackBuffer with_b, without_b;
-    pack_get_req(with_b, 7, 0x0B, v, kBudget);
-    pack_get_req(without_b, 7, 0x0B, v);
-    expect_bytes(with_b, std::vector<std::uint8_t>(
-                             without_b.data(),
-                             without_b.data() + without_b.size()));
-    PackBuffer pw, pn;
-    pack_put_req(pw, 8, 1, 2, v, kBudget);
-    pack_put_req(pn, 8, 1, 2, v);
-    expect_bytes(pw, std::vector<std::uint8_t>(pn.data(),
-                                               pn.data() + pn.size()));
-    PackBuffer mw, mn;
-    const std::uint64_t keys[1] = {9};
-    pack_get_many_req(mw, 9, keys, 1, v, kBudget);
-    pack_get_many_req(mn, 9, keys, 1, v);
-    expect_bytes(mw, std::vector<std::uint8_t>(mn.data(),
-                                               mn.data() + mn.size()));
-  }
-  // And the explicit v3 golden: a get with a budget argument is still the
-  // plain 8-byte body those peers have always parsed.
-  {
-    PackBuffer b;
-    pack_get_req(b, 10, 0x0B, 3, kBudget);
-    expect_bytes(b, golden(3, MsgType::kGetReq, 10,
-                           {0, 0, 0, 0, 0, 0, 0, 0x0B}));
+    pack_touch_req(b, 6, 0x0B, 0x0E, kBudget);
+    expect_bytes(b, golden(MsgType::kTouchReq, 6,
+                           cat({be64(0x0B), be64(0x0E), be64(kBudget)})));
   }
 }
 
-TEST(Wire, DispatchEntryMinVersionDefaultsAndGates) {
-  using Handler = int;
-  // Three-field aggregate init (the pre-v3 rows) keeps compiling and
-  // defaults to kMinVersion; the fourth field gates newer types.
-  const DispatchEntry<Handler> table[] = {
-      {MsgType::kGetReq, "get", 1},
-      {MsgType::kPutTtlReq, "put_ttl", 2, 3},
-      {MsgType::kTouchReq, "touch", 3, 3},
-  };
-  EXPECT_EQ(dispatch_lookup(table, MsgType::kGetReq)->min_version,
-            kMinVersion);
-  EXPECT_EQ(dispatch_lookup(table, MsgType::kPutTtlReq)->min_version, 3);
-  EXPECT_EQ(dispatch_lookup(table, MsgType::kTouchReq)->min_version, 3);
+TEST(Wire, ResponseFramesMatchGoldens) {
+  {
+    // get: u8 status | u8 found | u64 value.
+    PackBuffer b;
+    pack_get_resp(b, 0x0102030405060708ULL, true, 0x0A);
+    expect_bytes(b, golden(MsgType::kGetResp, 0x0102030405060708ULL,
+                           cat({{0, 1}, be64(0x0A)})));
+  }
+  {
+    // put (also answers put_ttl): u8 status.
+    PackBuffer b;
+    pack_put_resp(b, 2);
+    expect_bytes(b, golden(MsgType::kPutResp, 2, {0}));
+  }
+  {
+    // erase: u8 status | u8 erased.
+    PackBuffer b;
+    pack_erase_resp(b, 3, true);
+    expect_bytes(b, golden(MsgType::kEraseResp, 3, {0, 1}));
+  }
+  {
+    // get_many: u8 status | u32 n | n x (u8 found | u64 value).
+    const std::optional<std::uint64_t> vals[] = {0x0F, std::nullopt};
+    PackBuffer b;
+    pack_get_many_resp(b, 4, vals, 2);
+    expect_bytes(b, golden(MsgType::kGetManyResp, 4,
+                           cat({{0, 0, 0, 0, 2, 1}, be64(0x0F), {0},
+                                be64(0)})));
+  }
+  {
+    // touch: u8 status | u8 touched.
+    PackBuffer b;
+    pack_touch_resp(b, 5, true);
+    expect_bytes(b, golden(MsgType::kTouchResp, 5, {0, 1}));
+  }
+  {
+    // A refusal: the would-be response type, the status byte, nothing else.
+    PackBuffer b;
+    pack_status_resp(b, MsgType::kGetManyResp, 6, WireStatus::kDeadline);
+    expect_bytes(b, golden(MsgType::kGetManyResp, 6, {4}));
+  }
+  {
+    // error: u16 code | u16 detail_len | detail bytes; no status byte.
+    PackBuffer b;
+    pack_error_resp(b, 7, ErrorCode::kUnknownType, "x");
+    expect_bytes(b, golden(MsgType::kErrorResp, 7, {0, 3, 0, 1, 'x'}));
+  }
 }
 
 TEST(Wire, PackBufferConsumeDropsLeadingBytesOnly) {
