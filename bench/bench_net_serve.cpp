@@ -49,7 +49,7 @@ struct SimCohortWp2x4 : CohortMwWriterPrefLock<> {
 
 using Server = serve::KvServer<SimCohortWp2x4>;
 
-// burst = worker-side bulk-claim depth (0 = legacy per-item dispatch);
+// burst = worker-side bulk-claim depth (1 = the default control);
 // the net rows pair it with the front-end's staged submit_many, so one
 // epoll sweep publishes a batch and one bulk claim drains it.
 serve::ServeConfig server_config(std::size_t burst = 1) {
@@ -183,9 +183,8 @@ void run(BenchContext& ctx) {
 
   // Burst-depth column at the deepest pipeline, where the front-end's
   // staged submit actually accumulates batches between epoll sweeps:
-  // per-item (burst 0) is the control arm; k1/k4/k16 vary the worker-side
-  // bulk-claim depth.  Burst rows should be >= per-item at K > 1.
-  report(ctx, t, "net/burst/per-item/d16", run_net(cfg, 16, 0));
+  // k1 (the default) is the control; k4/k16 vary the worker-side
+  // bulk-claim depth.
   report(ctx, t, "net/burst/k1/d16", run_net(cfg, 16, 1));
   report(ctx, t, "net/burst/k4/d16", run_net(cfg, 16, 4));
   report(ctx, t, "net/burst/k16/d16", run_net(cfg, 16, 16));

@@ -87,7 +87,6 @@ struct RowOpts {
   int write_burst = 1;
   // Worker-side burst depth: K slices bulk-dequeued per poll, batched-get
   // keys gathered across requests into one lock epoch per shard group.
-  // 0 = the per-item dispatch control arm.
   std::size_t burst = 1;
 };
 
@@ -134,7 +133,7 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
     std::vector<std::unique_ptr<serve::Request>> burst;
     for (int b = 0; b < o.write_burst; ++b)
       burst.push_back(std::make_unique<serve::Request>());
-    std::size_t in_burst = 0;
+    std::size_t in_flight = 0;
     std::uint64_t burst_t0 = 0;  // first submit of the open write burst
     std::uint64_t done = 0, checksum = 0;
     const auto flush_reads = [&] {
@@ -145,10 +144,10 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
       batch.clear();
     };
     const auto flush_writes = [&] {
-      for (std::size_t b = 0; b < in_burst; ++b) burst[b]->wait();
+      for (std::size_t b = 0; b < in_flight; ++b) burst[b]->wait();
       local_lat.push_back(static_cast<double>(now_ns() - burst_t0));
-      done += in_burst;
-      in_burst = 0;
+      done += in_flight;
+      in_flight = 0;
     };
     for (int i = 0; i < ops_per_client; ++i) {
       const ServeOp& op = stream.at(static_cast<std::size_t>(i));
@@ -162,19 +161,19 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
         ++done;
       } else {
         // Pipelined writes: submit async, join the burst when it fills.
-        if (in_burst == 0) burst_t0 = now_ns();
-        serve::Request& r = *burst[in_burst];
+        if (in_flight == 0) burst_t0 = now_ns();
+        serve::Request& r = *burst[in_flight];
         r.reset();
         r.kind = serve::RequestKind::kPut;
         r.key = op.key;
         r.value = static_cast<std::uint64_t>(i);
         server.submit(&r);
-        if (++in_burst == static_cast<std::size_t>(o.write_burst))
+        if (++in_flight == static_cast<std::size_t>(o.write_burst))
           flush_writes();
       }
     }
     if (!batch.empty()) flush_reads();
-    if (in_burst != 0) flush_writes();
+    if (in_flight != 0) flush_writes();
     ops_done.fetch_add(done);
     sink.fetch_add(checksum);
     const std::lock_guard<std::mutex> g(samples_mu);
@@ -242,9 +241,8 @@ void run(BenchContext& ctx) {
       << ")\n"
       << "Arms: node-local vs oblivious placement (1/2/4-node sims), fixed\n"
       << "vs adaptive cohort handoff budget (70/30 mix), pinned vs unpinned\n"
-      << "pools, burst depth K (bulk-claim + shard-grouped execution) vs\n"
-      << "per-item dispatch.  Latencies are client-side end-to-end (queue "
-         "wait included).\n\n";
+      << "pools, burst depth K (bulk-claim + shard-grouped execution).\n"
+      << "Latencies are client-side end-to-end (queue wait included).\n\n";
   Table t({"config", "nodes", "read_ratio", "mops_per_s", "p50_us", "p99_us",
            "handoff_rate", "preempts", "pinned"});
 
@@ -273,12 +271,8 @@ void run(BenchContext& ctx) {
       ctx, t, {"budget/adaptive/2x4", 2, 4, 0.70, true, true, 1, 8});
 
   // Burst dataplane (DESIGN.md §11): workers bulk-claim up to K slices per
-  // poll and execute each shard group under one lock epoch.  per-item is
-  // the legacy dispatch control arm (burst = 0, no grouping); k1 isolates
-  // the bulk-claim protocol overhead at depth 1; k4/k16 amortize.  Burst
-  // throughput should be >= per-item for K > 1.
-  runtime_row<SimCohortWp<2, 4>>(
-      ctx, t, {"burst/per-item/2x4", 2, 4, 0.95, true, true, 8, 4, 0});
+  // poll and execute each shard group under one lock epoch.  k1 is the
+  // control (runs of one slice, the default); k4/k16 amortize.
   runtime_row<SimCohortWp<2, 4>>(
       ctx, t, {"burst/k1/2x4", 2, 4, 0.95, true, true, 8, 4, 1});
   runtime_row<SimCohortWp<2, 4>>(

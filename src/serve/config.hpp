@@ -51,11 +51,10 @@ struct ServeConfig {
   int max_width = 1;
   std::size_t queue_capacity = 1024;  // per-node, rounded up to 2^k
   bool pin_workers = true;            // best-effort Topology::pin_this_thread
-  // Burst dataplane depth: workers bulk-dequeue up to `burst` slices per
-  // poll and execute each owning node's batched-get keys — across parent
-  // requests — under one lock epoch per shard.  0 selects the legacy
-  // per-item pop/execute path (E18's control arm); 1 runs the burst path
-  // with degenerate runs (identical results, same code shape as K > 1).
+  // Burst depth, in [1, queue_capacity]: workers dequeue up to `burst`
+  // slices per poll and execute each owning node's batched-get keys —
+  // across parent requests — under one lock epoch per shard.  1 runs the
+  // same loop with runs of one slice.
   std::size_t burst = 1;
 
   // ---- elasticity (DESIGN.md §12) -------------------------------------------
@@ -144,8 +143,10 @@ struct ServeConfig {
     node_local_alloc = node_local;
     return *this;
   }
+  // Checked against the queue_capacity set so far: set the capacity first.
   ServeConfig& with_burst(std::size_t b) {
-    burst = b;  // 0 is meaningful: the per-item control arm
+    check_burst(b, queue_capacity);
+    burst = b;
     return *this;
   }
   ServeConfig& with_park(ParkPolicy policy, std::uint64_t grace_ns) {
@@ -209,6 +210,7 @@ struct ServeConfig {
     if (min_width < 1) fail("min_width must be >= 1");
     if (max_width < min_width) fail("max_width must be >= min_width");
     if (queue_capacity < 2) fail("queue_capacity must be >= 2");
+    check_burst(burst, queue_capacity);
     if (park_grace_ns == 0) fail("park_grace_ns must be > 0");
     if (admit_rate < 0.0) fail("admit_rate must be >= 0");
     if (expiry_enabled) {
@@ -224,6 +226,11 @@ struct ServeConfig {
   }
 
  private:
+  // A run longer than the ring can never be claimed, and each worker
+  // allocates a `burst`-slot buffer up front.
+  static void check_burst(std::size_t b, std::size_t capacity) {
+    if (b < 1 || b > capacity) fail("burst must be in [1, queue_capacity]");
+  }
   [[noreturn]] static void fail(const char* what) {
     throw std::invalid_argument(std::string("ServeConfig: ") + what);
   }

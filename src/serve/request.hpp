@@ -129,10 +129,10 @@ struct Request {
     outcome = AdmitResult::kAccepted;
   }
 
-  // One worker's latch decrement — the shared completion tail of both the
-  // per-item and the burst execution paths.  `on_last` runs exactly once,
-  // strictly *before* the releasing decrement commits, iff this call is
-  // the completing one — that ordering is what lets the server promise its
+  // One worker's latch decrement — the shared completion tail of point
+  // ops, gathered batch slices and deadline drops.  `on_last` runs exactly
+  // once, strictly *before* the releasing decrement commits, iff this call
+  // is the completing one — that ordering is what lets the server promise its
   // stats stripes are exact the moment wait() returns.  `pending` only
   // ever decreases while in flight, so a CAS that observes 1 cannot lose
   // the race to another decrementer (there is none left), and a stale

@@ -48,8 +48,8 @@ struct NodeServeStats {
   std::uint64_t ops = 0;            // keys looked up / point ops applied
   std::uint64_t completed = 0;      // requests whose final slice ran here
   std::uint64_t backpressure = 0;   // full-queue submit retries
-  std::uint64_t bursts = 0;         // bulk dequeues (0 on the per-item path;
-                                    // sub_requests / bursts = mean depth)
+  std::uint64_t bursts = 0;         // dequeues (sub_requests / bursts =
+                                    // mean burst depth)
   std::uint64_t group_gathers = 0;  // cross-request get_many_into calls
   double latency_mean_ns = 0.0;     // over `completed` requests
   double latency_max_ns = 0.0;
@@ -115,100 +115,32 @@ class KvServer {
 
   // ---- client API -----------------------------------------------------------
 
-  // Asynchronous submission: the caller owns `*req` (keys, out array) until
-  // req->wait() returns.  The admission stage — per-dispatch-node token
-  // bucket plus queue high-water check, both configured off by default —
-  // runs after grouping but before any latch init, so a refused request
-  // has pending == 0 (wait() returns immediately), nothing enqueued, and
-  // the refusal recorded in submit_outcome().  Multi-node batches admit
-  // all-or-nothing: a refusal refunds tokens already charged for earlier
-  // slices.  kShutdown is the one outcome that can land after partial
-  // publication — slices not enqueued are discounted from the latch, so
-  // wait() still terminates (with partial results).
-  AdmitResult submit(Request* req) {
-    req->submit_ns = now_ns();
-    req->outcome = AdmitResult::kAccepted;
-    if (req->kind == RequestKind::kGetBatch) {
-      // Empty batch: complete immediately.  `keys` may legitimately be
-      // nullptr here (std::vector::data() on an empty vector), so it must
-      // not reach group_by_node's span arithmetic.
-      if (req->key_count == 0) {
-        req->pending.store(0, std::memory_order_release);
-        return AdmitResult::kAccepted;
-      }
-      static thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>>
-          ranges;
-      map_.group_by_node(req->keys, req->key_count, req->order, ranges);
-      // Dispatch nodes are drawn ONCE per slice and reused by the enqueue
-      // loop: under oblivious dispatch every dispatch_node() call advances
-      // the round-robin cursor, so probing admission with one draw and
-      // enqueueing with another would skew the rotation.
-      static thread_local std::vector<int> dnodes;
-      dnodes.assign(ranges.size(), -1);
-      for (std::size_t d = 0; d < ranges.size(); ++d) {
-        const auto [begin, end] = ranges[d];
-        if (begin == end) continue;
-        dnodes[d] = dispatch_node(static_cast<int>(d));
-        const AdmitResult adm = admit(dnodes[d], end - begin, req->deadline_ns);
-        if (adm != AdmitResult::kAccepted) {
-          for (std::size_t e = 0; e < d; ++e) {  // refund admitted slices
-            const auto [eb, ee] = ranges[e];
-            if (eb != ee) refund(dnodes[e], ee - eb);
-          }
-          req->pending.store(0, std::memory_order_release);
-          req->outcome = adm;
-          return adm;
-        }
-      }
-      std::uint32_t subs = 0;
-      for (const auto& [begin, end] : ranges) subs += begin != end ? 1 : 0;
-      req->pending.store(subs, std::memory_order_relaxed);
-      for (std::size_t d = 0; d < ranges.size(); ++d) {
-        const auto [begin, end] = ranges[d];
-        if (begin == end) continue;
-        if (pool_.submit(dnodes[d],
-                         SubRequest{req, begin, end,
-                                    static_cast<std::int32_t>(d)}) !=
-            AdmitResult::kAccepted) {
-          req->pending.fetch_sub(1, std::memory_order_release);
-          req->outcome = AdmitResult::kShutdown;
-        }
-      }
-      return req->outcome;
-    }
-    const std::uint64_t routing_key =
-        req->kind == RequestKind::kGet ? req->keys[0] : req->key;
-    const int owner = map_.node_of_key(routing_key);
-    const int dn = dispatch_node(owner);
-    const AdmitResult adm = admit(dn, 1, req->deadline_ns);
-    if (adm != AdmitResult::kAccepted) {
-      req->pending.store(0, std::memory_order_release);
-      req->outcome = adm;
-      return adm;
-    }
-    req->pending.store(1, std::memory_order_relaxed);
-    if (pool_.submit(dn, SubRequest{req, 0, 0,
-                                    static_cast<std::int32_t>(owner)}) !=
-        AdmitResult::kAccepted) {
-      req->pending.fetch_sub(1, std::memory_order_release);
-      req->outcome = AdmitResult::kShutdown;
-    }
-    return req->outcome;
-  }
+  // Asynchronous submission of one request: the caller owns `*req` (keys,
+  // out array) until req->wait() returns.  A batch of one through
+  // submit_many(), which documents admission and the outcomes.
+  AdmitResult submit(Request* req) { return submit_many(&req, 1); }
 
-  // Batched submission: groups every request, fully initializes every
+  // Batched submission: splits every request into one slice per involved
+  // node (a batched get is grouped by owning node with one counting sort;
+  // a point op is a single slice), admits and fully initializes every
   // latch, then publishes all slices with ONE ring reservation per
-  // dispatch node (WorkerPool::submit_many) instead of one per slice.
-  // Latches are set before *any* slice publishes because slices of one
-  // request routed to different nodes can start — and finish — while later
-  // requests in the batch are still being grouped.  Admission runs per
-  // request during grouping (all-or-nothing per request, with refund, as
-  // in submit()); a refused request simply never buckets a slice, and the
-  // rest of the batch proceeds.  Returns the worst outcome across the
-  // batch (worst_of severity order); outcomes[i], when provided, mirrors
-  // reqs[i]->submit_outcome().  Slices refused by a stopping pool are
-  // discounted from their latch before return, so wait() terminates with
-  // partial results exactly as in the per-item path.
+  // dispatch node (WorkerPool::submit_many).  Latches are set before *any*
+  // slice publishes because slices of one request routed to different
+  // nodes can start — and finish — while later requests in the batch are
+  // still being grouped.
+  //
+  // The admission stage — per-dispatch-node token bucket plus queue
+  // high-water check, both configured off by default — runs per request
+  // after grouping but before its latch init, so a refused request has
+  // pending == 0 (wait() returns immediately), nothing enqueued, and the
+  // refusal recorded in submit_outcome(); the rest of the batch proceeds.
+  // Multi-node requests admit all-or-nothing: a refusal refunds tokens
+  // already charged for earlier slices.  kShutdown is the one outcome that
+  // can land after partial publication — slices a stopping pool refused
+  // are discounted from their latch before return, so wait() still
+  // terminates (with partial results).  Returns the worst outcome across
+  // the batch (worst_of severity order); outcomes[i], when provided,
+  // mirrors reqs[i]->submit_outcome().
   AdmitResult submit_many(Request* const* reqs, std::size_t n,
                           AdmitResult* outcomes = nullptr) {
     if (n == 0) return AdmitResult::kAccepted;
@@ -219,64 +151,62 @@ class KvServer {
     for (std::size_t d = 0; d < nodes; ++d) buckets[d].clear();
     static thread_local std::vector<std::pair<std::uint32_t, std::uint32_t>>
         ranges;
-    static thread_local std::vector<int> dnodes;
     AdmitResult batch = AdmitResult::kAccepted;
     for (std::size_t i = 0; i < n; ++i) {
       Request* req = reqs[i];
       req->submit_ns = t0;
       req->outcome = AdmitResult::kAccepted;
+      // Each slice draws its dispatch node ONCE, for both admission and
+      // the bucket it is published from: under oblivious dispatch every
+      // dispatch_node() call advances the round-robin cursor, so probing
+      // admission with one draw and enqueueing with another would skew
+      // the rotation.
+      AdmitResult adm = AdmitResult::kAccepted;
+      std::uint32_t subs = 0;
+      const auto stage = [&](const SubRequest& s) {
+        const int dn = dispatch_node(s.owner);
+        adm = admit(dn, slice_cost(s), req->deadline_ns);
+        if (adm != AdmitResult::kAccepted) return false;
+        buckets[idx(dn)].push_back(s);
+        ++subs;
+        return true;
+      };
       if (req->kind == RequestKind::kGetBatch) {
+        // Empty batch: complete immediately.  `keys` may legitimately be
+        // nullptr here (std::vector::data() on an empty vector), so it
+        // must not reach the grouping's span arithmetic.
         if (req->key_count == 0) {
           req->pending.store(0, std::memory_order_release);
           continue;
         }
         map_.group_by_node(req->keys, req->key_count, req->order, ranges);
-        dnodes.assign(ranges.size(), -1);
-        AdmitResult adm = AdmitResult::kAccepted;
         for (std::size_t d = 0; d < ranges.size(); ++d) {
           const auto [begin, end] = ranges[d];
           if (begin == end) continue;
-          dnodes[d] = dispatch_node(static_cast<int>(d));
-          adm = admit(dnodes[d], end - begin, req->deadline_ns);
-          if (adm != AdmitResult::kAccepted) {
-            for (std::size_t e = 0; e < d; ++e) {  // refund admitted slices
-              const auto [eb, ee] = ranges[e];
-              if (eb != ee) refund(dnodes[e], ee - eb);
-            }
+          if (!stage(SubRequest{req, begin, end, static_cast<std::int32_t>(d)}))
             break;
-          }
-        }
-        if (adm != AdmitResult::kAccepted) {
-          req->pending.store(0, std::memory_order_release);
-          req->outcome = adm;
-          batch = worst_of(batch, adm);
-          continue;
-        }
-        std::uint32_t subs = 0;
-        for (const auto& [begin, end] : ranges) subs += begin != end ? 1 : 0;
-        req->pending.store(subs, std::memory_order_relaxed);
-        for (std::size_t d = 0; d < ranges.size(); ++d) {
-          const auto [begin, end] = ranges[d];
-          if (begin == end) continue;
-          buckets[idx(dnodes[d])].push_back(
-              SubRequest{req, begin, end, static_cast<std::int32_t>(d)});
         }
       } else {
         const std::uint64_t routing_key =
             req->kind == RequestKind::kGet ? req->keys[0] : req->key;
-        const int owner = map_.node_of_key(routing_key);
-        const int dn = dispatch_node(owner);
-        const AdmitResult adm = admit(dn, 1, req->deadline_ns);
-        if (adm != AdmitResult::kAccepted) {
-          req->pending.store(0, std::memory_order_release);
-          req->outcome = adm;
-          batch = worst_of(batch, adm);
-          continue;
-        }
-        req->pending.store(1, std::memory_order_relaxed);
-        buckets[idx(dn)].push_back(
-            SubRequest{req, 0, 0, static_cast<std::int32_t>(owner)});
+        stage(SubRequest{req, 0, 0, map_.node_of_key(routing_key)});
       }
+      if (adm != AdmitResult::kAccepted) {
+        // All-or-nothing: the slices admitted before the refusal are the
+        // last entries of their buckets; unstage them and refund.
+        for (std::size_t d = 0; d < nodes; ++d) {
+          auto& b = buckets[d];
+          while (!b.empty() && b.back().parent == req) {
+            refund(static_cast<int>(d), slice_cost(b.back()));
+            b.pop_back();
+          }
+        }
+        req->pending.store(0, std::memory_order_release);
+        req->outcome = adm;
+        batch = worst_of(batch, adm);
+        continue;
+      }
+      req->pending.store(subs, std::memory_order_relaxed);
     }
     for (std::size_t d = 0; d < nodes; ++d) {
       auto& b = buckets[d];
@@ -545,10 +475,9 @@ class KvServer {
     return targets;
   }
 
-  // Picks the worker-loop shape at construction: burst == 0 keeps the
-  // historical per-item pop/execute path, anything else installs the
-  // burst handler (guaranteed copy elision — WorkerPool is immovable).
-  // The expiry sweep rides the pool's low-priority maintenance lane.
+  // Workers run execute_burst over every claimed run (guaranteed copy
+  // elision — WorkerPool is immovable).  The expiry sweep rides the pool's
+  // low-priority maintenance lane.
   WorkerPool<SubRequest> make_pool(const Topology& topo,
                                    const ServeConfig& cfg) {
     typename WorkerPool<SubRequest>::MaintenanceHandler maint;
@@ -560,20 +489,11 @@ class KvServer {
         return worked;
       };
     }
-    if (cfg.burst == 0)
-      return WorkerPool<SubRequest>(
-          topo, cfg,
-          typename WorkerPool<SubRequest>::Handler(
-              [this](int tid, int node, SubRequest& s) {
-                execute(tid, node, s);
-              }),
-          std::move(maint));
     return WorkerPool<SubRequest>(
         topo, cfg,
-        typename WorkerPool<SubRequest>::BurstHandler(
-            [this](int tid, int node, SubRequest* items, std::size_t n) {
-              execute_burst(tid, node, items, n);
-            }),
+        [this](int tid, int node, SubRequest* items, std::size_t n) {
+          execute_burst(tid, node, items, n);
+        },
         std::move(maint));
   }
 
@@ -591,7 +511,7 @@ class KvServer {
   // the depth probe (advisory, retryable kQueueFull) so a saturated
   // queue does not also drain the token bucket; the bucket is charged
   // only when the request will actually be enqueued (modulo the
-  // all-or-nothing refund in the callers).
+  // all-or-nothing refund in submit_many).
   AdmitResult admit(int dn, std::uint64_t cost, std::uint64_t deadline_ns) {
     if (deadline_ns != 0 && time_->now_ns() >= deadline_ns) {
       admit_[idx(dn)].deadline_refused.fetch_add(1,
@@ -619,6 +539,11 @@ class KvServer {
       }
     }
     return AdmitResult::kAccepted;
+  }
+
+  // Admission cost of a slice: its key count, one for a point op.
+  static std::uint64_t slice_cost(const SubRequest& s) {
+    return s.end > s.begin ? s.end - s.begin : 1;
   }
 
   // Returns tokens charged for slices of a batch that was then refused
@@ -672,8 +597,8 @@ class KvServer {
     return true;
   }
 
-  // Runs on a pool worker; `tid` is the worker's pool tid.
-  void execute(int tid, int /*node*/, SubRequest& s) {
+  // Runs a point op on a pool worker; `tid` is the worker's pool tid.
+  void execute(int tid, SubRequest& s) {
     Request* req = s.parent;
     WorkerStats& ws = worker_stats_[idx(tid)];
     if (drop_if_expired(ws, req)) return;
@@ -721,38 +646,8 @@ class KvServer {
         ws.ops += 1;
         break;
       }
-      case RequestKind::kGetBatch: {
-        // The slice [begin, end) of req->order is one owning node's keys
-        // (the dispatch may still have *run* it elsewhere — that is the
-        // oblivious arm).  Gather into reusable worker scratch and go
-        // through the owning sub-map's deduplicated bulk lookup; both
-        // scratch vectors keep their capacity across requests, so the
-        // steady-state hot path does not allocate.
-        static thread_local std::vector<std::uint64_t> gathered;
-        static thread_local std::vector<std::optional<std::uint64_t>> got;
-        gathered.clear();
-        gathered.reserve(s.end - s.begin);
-        for (std::uint32_t k = s.begin; k < s.end; ++k)
-          gathered.push_back(req->keys[req->order[k]]);
-        got.assign(gathered.size(), std::nullopt);
-        map_.sub_map(s.owner).get_many_into(tid, gathered.data(),
-                                            gathered.size(), got.data());
-        std::uint64_t hits = 0, sum = 0;
-        for (std::uint32_t k = s.begin; k < s.end; ++k) {
-          const auto& v = got[k - s.begin];
-          if (v) {
-            ++hits;
-            sum += *v;
-          }
-          if (req->out) req->out[req->order[k]] = v;
-        }
-        if (hits) {
-          req->hits.fetch_add(hits, std::memory_order_relaxed);
-          req->value_sum.fetch_add(sum, std::memory_order_relaxed);
-        }
-        ws.ops += s.end - s.begin;
+      case RequestKind::kGetBatch:  // execute_burst gathers these
         break;
-      }
     }
     ws.subs += 1;
     finish(ws, req);
@@ -769,8 +664,8 @@ class KvServer {
         [&] { ws.latency.add(static_cast<double>(elapsed_ns)); });
   }
 
-  // Burst execution — the tentpole path.  Point ops in the claimed run are
-  // executed per item in FIFO order; batched-get slices are bucketed by
+  // The worker handler.  Point ops in the claimed run are executed one by
+  // one in FIFO order; batched-get slices are bucketed by
   // owning sub-map and each bucket's keys — gathered ACROSS parent
   // requests — go through ONE get_many_into call.  Since get_many_into
   // takes one read-lock epoch per distinct shard it touches, combining the
@@ -789,7 +684,7 @@ class KvServer {
     for (std::size_t i = 0; i < n; ++i) {
       SubRequest& s = items[i];
       if (s.parent->kind != RequestKind::kGetBatch) {
-        execute(tid, /*node=*/-1, s);  // point op: unchanged per-item path
+        execute(tid, s);
         continue;
       }
       if (drop_if_expired(ws, s.parent)) continue;  // doomed: never gathered

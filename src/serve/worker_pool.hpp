@@ -72,41 +72,16 @@ class BoundedMpmcQueue {
 
   std::size_t capacity() const { return mask_ + 1; }
 
-  // False when the queue is full at the moment of the attempt.
-  bool try_push(const T& value) {
-    std::size_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& c = cells_[pos & mask_];
-      const std::size_t seq = c.seq.load(std::memory_order_acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos);
-      if (diff == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed))
-          break;  // cell claimed; pos holds our slot
-        // CAS failure reloaded pos; retry against the new cursor.
-      } else if (diff < 0) {
-        return false;  // cell still holds last lap's value: full
-      } else {
-        pos = head_.load(std::memory_order_relaxed);  // raced; refresh
-      }
-    }
-    Cell& c = cells_[pos & mask_];
-    c.value = value;
-    c.seq.store(pos + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Bulk publish: claims a run of up to `n` consecutive free cells with ONE
-  // CAS on the producer cursor, then publishes values[0..k) into them.
-  // Returns k, 0 when the queue is full at the attempt.  The run claim is
-  // safe for the same reason the single-cell claim is: a cell observed free
+  // Publish: claims a run of up to `n` consecutive free cells with ONE CAS
+  // on the producer cursor, then publishes values[0..k) into them.  Returns
+  // k, 0 when the queue is full at the attempt (n == 1 is Vyukov's
+  // single-cell push).  The run claim is safe because a cell observed free
   // at this lap (seq == pos + j) can only leave that state when a producer
   // claims it, and producers claim by advancing the head past it — our
   // pending CAS either wins (the whole run is ours, nothing else wrote it)
   // or loses (we retry against the fresh cursor having written nothing).
-  // Orderings are the per-item ones run-length-many times: acquire on the
-  // scanned cell sequences, release on each publish (DESIGN.md §11).
+  // Orderings are the single-cell ones run-length-many times: acquire on
+  // the scanned cell sequences, release on each publish (DESIGN.md §11).
   std::size_t try_push_bulk(const T* values, std::size_t n) {
     if (n == 0) return 0;
     std::size_t pos = head_.load(std::memory_order_relaxed);
@@ -146,7 +121,7 @@ class BoundedMpmcQueue {
 
   // True when every claimed cell has also been consumed: the pop cursor
   // has caught up with the push cursor.  Distinguishes "truly empty" from
-  // "a producer has claimed a cell but not yet published it" (try_pop
+  // "a producer has claimed a cell but not yet published it" (try_pop_bulk
   // reports empty for both) — the shutdown drain needs the distinction.
   bool drained() const {
     return tail_.load(std::memory_order_seq_cst) ==
@@ -162,31 +137,7 @@ class BoundedMpmcQueue {
     return h >= t ? h - t : 0;
   }
 
-  // False when the queue is empty at the moment of the attempt.
-  bool try_pop(T* out) {
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& c = cells_[pos & mask_];
-      const std::size_t seq = c.seq.load(std::memory_order_acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos + 1);
-      if (diff == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed))
-          break;
-      } else if (diff < 0) {
-        return false;  // producer has not published this lap yet: empty
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
-      }
-    }
-    Cell& c = cells_[pos & mask_];
-    *out = c.value;
-    c.seq.store(pos + mask_ + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Bulk consume: claims a run of up to `n` consecutive *published* cells
+  // Consume: claims a run of up to `n` consecutive *published* cells
   // with ONE CAS on the consumer cursor, copies them out FIFO, then frees
   // each cell for the next lap.  Returns the run length, 0 when the queue
   // is empty at the attempt.  Mirror of try_push_bulk: a cell observed
@@ -246,8 +197,8 @@ class BoundedMpmcQueue {
 
 // Per-node pools of pinned workers draining per-node queues.  Item is the
 // queue element (the runtime uses SubRequest); the handler runs on the
-// worker thread as handler(pool_tid, node, item), or — in burst mode — as
-// handler(pool_tid, node, items, n) over a bulk-claimed run.
+// worker thread as handler(pool_tid, node, items, n) over a claimed run of
+// 1..burst items.
 //
 // Memory-only NUMA nodes (zero CPUs, representable since the sparse-sysfs
 // parser) get no workers and an empty queue: submits addressed to them are
@@ -267,10 +218,9 @@ struct PoolPublish {
 template <class Item>
 class WorkerPool {
  public:
-  using Handler = std::function<void(int tid, int node, Item& item)>;
-  // Burst mode: the worker hands over a whole bulk-claimed run and the
-  // handler runs it to completion before the next poll.
-  using BurstHandler =
+  // The worker hands over a whole claimed run and the handler runs it to
+  // completion before the next poll.
+  using Handler =
       std::function<void(int tid, int node, Item* items, std::size_t n)>;
   // Low-priority maintenance lane (the expiry sweep rides here): invoked by
   // a worker when its queue polls empty, and every kMaintenanceStride
@@ -286,13 +236,6 @@ class WorkerPool {
              MaintenanceHandler maintenance = {})
       : topo_(topo),
         handler_(std::move(handler)),
-        maintenance_(std::move(maintenance)) {
-    init(cfg.validate());
-  }
-  WorkerPool(const Topology& topo, const ServeConfig& cfg,
-             BurstHandler handler, MaintenanceHandler maintenance = {})
-      : topo_(topo),
-        burst_handler_(std::move(handler)),
         maintenance_(std::move(maintenance)) {
     init(cfg.validate());
   }
@@ -330,45 +273,20 @@ class WorkerPool {
     return pinned_.load(std::memory_order_relaxed);
   }
 
-  // Enqueues onto node `d`'s queue, yielding through full-queue
-  // backpressure.  kShutdown only when the pool is stopping; kAccepted
-  // means the item is published and the shutdown drain will execute it —
-  // even when submit races shutdown().  The guarantee is carried by the
-  // per-node `submitting` window (seq_cst, like shutdown's stop store and
-  // the workers' exit check): a submit whose stop load read false ordered
-  // its window-open before the stop store in the single total order, so a
-  // draining worker cannot observe its node's window count at 0 until
-  // that submit has either published its item or refused.  The window
+  // Publishes items[0..n) to node d's queue, one ring reservation per
+  // claimed run, yielding through full-queue backpressure.  Reports the
+  // published prefix k; k < n (outcome kShutdown) only when the pool is
+  // stopping.  Every published item will be executed by the shutdown
+  // drain, even when the call races shutdown().  The guarantee is carried
+  // by the per-node `submitting` window (seq_cst, like shutdown's stop
+  // store and the workers' exit check): the whole batch publishes inside
+  // ONE window, and a call whose stop load read false ordered its
+  // window-open before the stop store in the single total order, so a
+  // draining worker cannot observe its node's window count at 0 until the
+  // call has published its prefix.  The stop check before each push
+  // attempt bounds how far a batch racing shutdown() can run.  The window
   // lives in the target node's padded NodeState line, so submits to
   // different nodes never contend on it.
-  AdmitResult submit(int d, const Item& item) {
-    NodeState& n = nodes_[idx(route_[idx(d)])];
-    n.submitting.fetch_add(1, std::memory_order_seq_cst);
-    if (stopping_.load(std::memory_order_seq_cst)) {
-      n.submitting.fetch_sub(1, std::memory_order_seq_cst);
-      return AdmitResult::kShutdown;
-    }
-    while (!n.queue->try_push(item)) {
-      if (stopping_.load(std::memory_order_seq_cst)) {
-        n.submitting.fetch_sub(1, std::memory_order_seq_cst);
-        return AdmitResult::kShutdown;
-      }
-      n.backpressure.fetch_add(1, std::memory_order_relaxed);
-      YieldSpin::relax();
-    }
-    n.submitting.fetch_sub(1, std::memory_order_seq_cst);
-    maybe_wake(n);
-    return AdmitResult::kAccepted;
-  }
-
-  // Batched publish to node d's queue: one ring reservation per claimed
-  // run instead of one per item.  Publishes the prefix items[0..k) and
-  // reports k; k < n only when the pool is stopping.  The whole batch
-  // publishes inside ONE seq_cst submit window, so the shutdown-drain
-  // guarantee of submit() covers every accepted item: a window observed
-  // closed by a draining worker has already published its prefix, and the
-  // stop check before each push attempt bounds how far a batch racing
-  // shutdown() can run.
   PoolPublish submit_many(int d, const Item* items, std::size_t n) {
     if (n == 0) return {0, AdmitResult::kAccepted};
     NodeState& node = nodes_[idx(route_[idx(d)])];
@@ -415,8 +333,8 @@ class WorkerPool {
   std::uint64_t backpressure(int d) const {
     return nodes_[idx(d)].backpressure.load(std::memory_order_relaxed);
   }
-  // Bulk dequeues performed for node d (burst mode only; executed(d) /
-  // bursts(d) is the realized mean burst depth).
+  // Dequeues performed for node d (executed(d) / bursts(d) is the
+  // realized mean burst depth).
   std::uint64_t bursts(int d) const {
     return nodes_[idx(d)].bursts.load(std::memory_order_relaxed);
   }
@@ -438,7 +356,7 @@ class WorkerPool {
  private:
   struct alignas(64) NodeState {
     std::unique_ptr<BoundedMpmcQueue<Item>> queue;
-    std::atomic<int> submitting{0};  // open submit windows (see submit())
+    std::atomic<int> submitting{0};  // open submit windows (submit_many)
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> backpressure{0};
     std::atomic<std::uint64_t> bursts{0};
@@ -453,7 +371,7 @@ class WorkerPool {
 
   void init(const ServeConfig& cfg) {
     const int nodes = topo_.node_count();
-    burst_ = cfg.burst < 1 ? 1 : cfg.burst;
+    burst_ = cfg.burst;
     park_futex_ = cfg.park_policy == ParkPolicy::kFutex;
     grace_ns_ = cfg.park_grace_ns;
     // Pool tids are logical-CPU indices: node d's w-th worker gets the tid
@@ -499,40 +417,31 @@ class WorkerPool {
     if (pin && topo_.pin_this_thread(tid))
       pinned_.fetch_add(1, std::memory_order_relaxed);
     NodeState& n = nodes_[idx(d)];
-    const bool burst_mode = static_cast<bool>(burst_handler_);
     // Workers beyond the committed floor are the elastic ones; under the
     // spin policy nobody parks and the loop is the historical spinner.
     const bool may_park = park_futex_ && w >= min_width_;
-    std::vector<Item> batch(burst_mode ? burst_ : 0);
-    Item item;
+    std::vector<Item> batch(burst_);
     std::uint64_t idle_since = 0;  // 0: queue was non-empty at last poll
     std::uint32_t polls_since_maint = 0;
     for (;;) {
-      if (burst_mode) {
-        const std::size_t k = n.queue->try_pop_bulk(batch.data(), burst_);
-        if (k > 0) {
-          burst_handler_(tid, d, batch.data(), k);
-          n.executed.fetch_add(k, std::memory_order_relaxed);
-          n.bursts.fetch_add(1, std::memory_order_relaxed);
-          idle_since = 0;
-          maintenance_stride(tid, d, &polls_since_maint);
-          continue;
-        }
-      } else if (n.queue->try_pop(&item)) {
-        handler_(tid, d, item);
-        n.executed.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t k = n.queue->try_pop_bulk(batch.data(), burst_);
+      if (k > 0) {
+        handler_(tid, d, batch.data(), k);
+        n.executed.fetch_add(k, std::memory_order_relaxed);
+        n.bursts.fetch_add(1, std::memory_order_relaxed);
         idle_since = 0;
         maintenance_stride(tid, d, &polls_since_maint);
         continue;
       }
       // Empty right now.  Exit only once, after observing stopping, the
       // queue is *drained* (every claimed cell consumed — not merely
-      // "try_pop said empty", which a claimed-but-unpublished cell also
-      // produces) and no submit window is open.  Together with submit()'s
-      // seq_cst window this closes the race where a push that passed its
-      // stop check lands after a worker's last empty probe: such a push
-      // holds the window open until its item is published, and a
-      // published item keeps drained() false until popped.
+      // "try_pop_bulk said empty", which a claimed-but-unpublished cell
+      // also produces) and no submit window is open.  Together with
+      // submit_many()'s seq_cst window this closes the race where a push
+      // that passed its stop check lands after a worker's last empty
+      // probe: such a push holds the window open until its item is
+      // published, and a published item keeps drained() false until
+      // popped.
       // Order matters: the window check precedes the drain check.  A
       // window observed closed published its item *before* the close, so
       // the later drained() read sees that item if it is unconsumed; a
@@ -622,7 +531,6 @@ class WorkerPool {
 
   const Topology topo_;
   Handler handler_;
-  BurstHandler burst_handler_;
   MaintenanceHandler maintenance_;
   int workers_per_node_ = 1;  // spawned (elastic ceiling) after CPU clamp
   int min_width_ = 1;         // committed floor: these never park

@@ -36,6 +36,7 @@ using serve::ServeConfig;
 using serve::WorkerPool;
 
 TEST(ServeQueueSoak, MpmcConservationUnderProducerConsumerChurn) {
+  // Runs of one: every push and pop claims a single cell.
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr std::uint64_t kPerProducer = 40000;
@@ -53,14 +54,14 @@ TEST(ServeQueueSoak, MpmcConservationUnderProducerConsumerChurn) {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         const std::uint64_t token = rng.next() | 1;
         sum += token;
-        while (!q.try_push(token)) YieldSpin::relax();
+        while (q.try_push_bulk(&token, 1) == 0) YieldSpin::relax();
       }
       pushed_sum.fetch_add(sum);
       producers_live.fetch_sub(1);
     } else {
       std::uint64_t sum = 0, count = 0, token = 0;
       for (;;) {
-        if (q.try_pop(&token)) {
+        if (q.try_pop_bulk(&token, 1) == 1) {
           sum += token;
           ++count;
           continue;
@@ -68,7 +69,7 @@ TEST(ServeQueueSoak, MpmcConservationUnderProducerConsumerChurn) {
         // Only exit on empty observed after all producers finished —
         // the same drain shape the worker pool uses.
         if (producers_live.load() == 0) {
-          if (!q.try_pop(&token)) break;
+          if (q.try_pop_bulk(&token, 1) == 0) break;
           sum += token;
           ++count;
           continue;
@@ -95,7 +96,7 @@ TEST(ServeQueueSoak, SubmitRacingShutdownNeverStrandsAcceptedItems) {
     WorkerPool<int> pool(
         topo,
         ServeConfig{}.with_workers(1).with_queue_capacity(16).with_pin(false),
-        [&](int, int, int&) { executed.fetch_add(1); });
+        [&](int, int, int*, std::size_t n) { executed.fetch_add(n); });
     std::atomic<std::uint64_t> accepted{0};
     run_threads(3, [&](std::size_t t) {
       if (t == 2) {
@@ -103,7 +104,7 @@ TEST(ServeQueueSoak, SubmitRacingShutdownNeverStrandsAcceptedItems) {
         pool.shutdown();
       } else {
         for (int i = 0; i < 300; ++i) {
-          if (pool.submit(static_cast<int>(t) % 2, i) !=
+          if (pool.submit_many(static_cast<int>(t) % 2, &i, 1).outcome !=
               AdmitResult::kAccepted)
             break;
           accepted.fetch_add(1);
@@ -117,8 +118,8 @@ TEST(ServeQueueSoak, SubmitRacingShutdownNeverStrandsAcceptedItems) {
 
 TEST(ServeQueueSoak, BulkOpsConserveUnderProducerConsumerChurn) {
   // The burst dataplane's conservation bar: try_push_bulk/try_pop_bulk
-  // mixed with the single-item ops, hammered by symmetric fleets over a
-  // small ring — every token popped exactly once, checksums exact.
+  // runs of mixed lengths, one included, hammered by symmetric fleets over
+  // a small ring — every token popped exactly once, checksums exact.
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr std::uint64_t kPerProducer = 40000;
@@ -136,12 +137,12 @@ TEST(ServeQueueSoak, BulkOpsConserveUnderProducerConsumerChurn) {
       std::uint64_t batch[9];
       std::uint64_t produced = 0;
       while (produced < kPerProducer) {
-        // Alternate single pushes and bulk runs of varying width.
+        // Alternate runs of one and longer runs of varying width.
         const std::uint64_t want = std::min<std::uint64_t>(
             1 + rng.next() % 9, kPerProducer - produced);
         if (want == 1) {
           const std::uint64_t token = rng.next() | 1;
-          while (!q.try_push(token)) YieldSpin::relax();
+          while (q.try_push_bulk(&token, 1) == 0) YieldSpin::relax();
           sum += token;
           ++produced;
           continue;
@@ -207,9 +208,7 @@ TEST(ServeQueueSoak, ShutdownDuringBurstExecutesEveryAcceptedSlice) {
                                 .with_burst(4);
     WorkerPool<int> pool(
         topo, cfg,
-        WorkerPool<int>::BurstHandler([&](int, int, int*, std::size_t n) {
-          executed.fetch_add(n);
-        }));
+        [&](int, int, int*, std::size_t n) { executed.fetch_add(n); });
     std::atomic<std::uint64_t> accepted{0};
     run_threads(3, [&](std::size_t t) {
       if (t == 2) {
@@ -449,7 +448,9 @@ TEST(ServeQueueSoak, ElasticParkWakeRacingShutdownConservesItems) {
                              .with_pin(false)
                              .with_park(serve::ParkPolicy::kFutex,
                                         /*grace_ns=*/5'000),
-                         [&](int, int, int&) { executed.fetch_add(1); });
+                         [&](int, int, int*, std::size_t n) {
+                           executed.fetch_add(n);
+                         });
     std::atomic<std::uint64_t> accepted{0};
     run_threads(3, [&](std::size_t t) {
       if (t == 2) {
@@ -462,7 +463,7 @@ TEST(ServeQueueSoak, ElasticParkWakeRacingShutdownConservesItems) {
             // park; the next submit then exercises the wake path.
             for (int s = 0; s < 400; ++s) YieldSpin::relax();
           }
-          if (pool.submit(static_cast<int>(t) % 2, i) !=
+          if (pool.submit_many(static_cast<int>(t) % 2, &i, 1).outcome !=
               AdmitResult::kAccepted)
             break;
           accepted.fetch_add(1);

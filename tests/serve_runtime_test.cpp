@@ -137,25 +137,34 @@ TEST(BoundedMpmcQueue, FifoBoundedAndEdgeConditions) {
   BoundedMpmcQueue<int> q(/*capacity=*/5);  // rounds up to 8
   EXPECT_EQ(q.capacity(), 8u);
   int out = 0;
-  EXPECT_FALSE(q.try_pop(&out));  // empty
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));  // full
+  EXPECT_EQ(q.try_pop_bulk(&out, 1), 0u);  // empty
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(q.try_push_bulk(&i, 1), 1u);
+  const int extra = 99;
+  EXPECT_EQ(q.try_push_bulk(&extra, 1), 0u);  // full
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.try_pop(&out));
+    ASSERT_EQ(q.try_pop_bulk(&out, 1), 1u);
     EXPECT_EQ(out, i);  // FIFO
   }
-  EXPECT_FALSE(q.try_pop(&out));
+  EXPECT_EQ(q.try_pop_bulk(&out, 1), 0u);
   // Wrap several laps to exercise the sequence-number arithmetic.
   for (int lap = 0; lap < 5; ++lap) {
-    for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(lap * 10 + i));
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(q.try_pop(&out));
+      const int v = lap * 10 + i;
+      ASSERT_EQ(q.try_push_bulk(&v, 1), 1u);
+    }
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_EQ(q.try_pop_bulk(&out, 1), 1u);
       EXPECT_EQ(out, lap * 10 + i);
     }
   }
 }
 
 // ---- worker pool ------------------------------------------------------------
+
+// One item through the pool's only publish call.
+AdmitResult submit_one(WorkerPool<int>& pool, int node, int item) {
+  return pool.submit_many(node, &item, 1).outcome;
+}
 
 TEST(WorkerPool, WorkRunsOnTheSubmittedNodeWithNodeMappedTids) {
   const Topology topo = Topology::simulated(2, 4);
@@ -169,14 +178,16 @@ TEST(WorkerPool, WorkRunsOnTheSubmittedNodeWithNodeMappedTids) {
   WorkerPool<int> pool(
       topo,
       ServeConfig{}.with_workers(2).with_queue_capacity(64).with_pin(true),
-      [&](int tid, int node, int& item) {
-        seen[static_cast<std::size_t>(item)]->node.store(node);
-        seen[static_cast<std::size_t>(item)]->tid.store(tid);
+      [&](int tid, int node, int* items, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          seen[static_cast<std::size_t>(items[i])]->node.store(node);
+          seen[static_cast<std::size_t>(items[i])]->tid.store(tid);
+        }
       });
   EXPECT_EQ(pool.node_count(), 2);
   EXPECT_EQ(pool.workers_per_node(), 2);
   for (int i = 0; i < 40; ++i)
-    EXPECT_EQ(pool.submit(i % 2, i), AdmitResult::kAccepted);
+    EXPECT_EQ(submit_one(pool, i % 2, i), AdmitResult::kAccepted);
   pool.shutdown();
 
   for (int i = 0; i < 40; ++i) {
@@ -195,18 +206,19 @@ TEST(WorkerPool, GracefulShutdownDrainsQueuedItemsAndRefusesNewOnes) {
   auto pool = std::make_unique<WorkerPool<int>>(
       topo,
       ServeConfig{}.with_workers(1).with_queue_capacity(256).with_pin(false),
-      [&](int, int, int& item) {
+      [&](int, int, int* items, std::size_t n) {
         std::this_thread::yield();  // let the queue back up
-        sum.fetch_add(static_cast<std::uint64_t>(item));
+        for (std::size_t i = 0; i < n; ++i)
+          sum.fetch_add(static_cast<std::uint64_t>(items[i]));
       });
   std::uint64_t expect = 0;
   for (int i = 1; i <= 100; ++i) {
-    ASSERT_EQ(pool->submit(i % 2, i), AdmitResult::kAccepted);
+    ASSERT_EQ(submit_one(*pool, i % 2, i), AdmitResult::kAccepted);
     expect += static_cast<std::uint64_t>(i);
   }
   pool->shutdown();  // must drain all 100, not drop the queued tail
   EXPECT_EQ(sum.load(), expect);
-  EXPECT_EQ(pool->submit(0, 7), AdmitResult::kShutdown)
+  EXPECT_EQ(submit_one(*pool, 0, 7), AdmitResult::kShutdown)
       << "submit after shutdown must refuse";
   EXPECT_EQ(sum.load(), expect);
   pool.reset();  // double-shutdown via destructor is fine
@@ -217,7 +229,7 @@ TEST(WorkerPool, ClampsWidthToTheNarrowestNode) {
   WorkerPool<int> pool(
       topo,
       ServeConfig{}.with_workers(8).with_queue_capacity(16).with_pin(false),
-      [](int, int, int&) {});
+      [](int, int, int*, std::size_t) {});
   // 8 requested, but node width is 2: wider pools would hand out tids the
   // topology maps to *other* nodes.
   EXPECT_EQ(pool.workers_per_node(), 2);
@@ -663,22 +675,23 @@ TEST(BoundedMpmcQueue, BulkPushAndPopPreserveFifoAndBounds) {
   EXPECT_TRUE(q.drained());
 }
 
-TEST(BoundedMpmcQueue, BulkOpsInteroperateWithSingleOpsAcrossWrap) {
+TEST(BoundedMpmcQueue, BulkOpsOfMixedRunLengthsPreserveFifoAcrossWrap) {
   BoundedMpmcQueue<int> q(4);  // capacity 4: wraps fast
   int out[4];
   int next_push = 0, next_pop = 0;
-  // Drive several laps mixing bulk and single ops; FIFO must hold through
+  // Drive several laps mixing runs of 3, 2 and 1; FIFO must hold through
   // every wrap of the ring.
   for (int lap = 0; lap < 10; ++lap) {
     int vals[3] = {next_push, next_push + 1, next_push + 2};
     ASSERT_EQ(q.try_push_bulk(vals, 3), 3u);
     next_push += 3;
-    ASSERT_TRUE(q.try_push(next_push++));
+    ASSERT_EQ(q.try_push_bulk(&next_push, 1), 1u);
+    ++next_push;
     ASSERT_EQ(q.try_pop_bulk(out, 2), 2u);
     EXPECT_EQ(out[0], next_pop++);
     EXPECT_EQ(out[1], next_pop++);
     int one;
-    ASSERT_TRUE(q.try_pop(&one));
+    ASSERT_EQ(q.try_pop_bulk(&one, 1), 1u);
     EXPECT_EQ(one, next_pop++);
     ASSERT_EQ(q.try_pop_bulk(out, 4), 1u);
     EXPECT_EQ(out[0], next_pop++);
@@ -739,7 +752,7 @@ TEST(WorkerPool, BurstModeExecutesEverythingWithBulkClaims) {
   std::atomic<std::uint64_t> max_run{0};
   WorkerPool<int> pool(
       topo, cfg,
-      WorkerPool<int>::BurstHandler([&](int, int, int* items, std::size_t n) {
+      [&](int, int, int* items, std::size_t n) {
         ASSERT_GE(n, 1u);
         ASSERT_LE(n, 4u);  // never exceeds the configured depth
         std::uint64_t local = 0;
@@ -749,11 +762,11 @@ TEST(WorkerPool, BurstModeExecutesEverythingWithBulkClaims) {
         std::uint64_t seen = max_run.load(std::memory_order_relaxed);
         while (seen < n && !max_run.compare_exchange_weak(seen, n)) {
         }
-      }));
+      });
   constexpr int kItems = 4000;
   std::uint64_t expect = 0;
   for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(pool.submit(i % 2, i), AdmitResult::kAccepted);
+    ASSERT_EQ(submit_one(pool, i % 2, i), AdmitResult::kAccepted);
     expect += static_cast<std::uint64_t>(i);
   }
   pool.shutdown();
@@ -771,10 +784,10 @@ TEST(WorkerPool, SubmitManyPublishesTheWholeBatch) {
   std::atomic<std::uint64_t> sum{0};
   WorkerPool<int> pool(
       topo, cfg,
-      WorkerPool<int>::BurstHandler([&](int, int, int* items, std::size_t n) {
+      [&](int, int, int* items, std::size_t n) {
         for (std::size_t i = 0; i < n; ++i)
           sum.fetch_add(static_cast<std::uint64_t>(items[i]));
-      }));
+      });
   // Batches larger than the queue capacity round up; submit_many must
   // publish every item (yielding through backpressure), not just a prefix.
   std::vector<int> batch(300);
@@ -803,9 +816,9 @@ TEST(WorkerPool, SubmitManyPublishesTheWholeBatch) {
 // ---- cross-request shard grouping + scatter ---------------------------------
 
 // Deterministic exactness of the burst path: many batched requests with
-// overlapping key sets, executed under every burst depth, must produce
-// byte-identical results to the per-item dispatch path (burst = 0).
-TEST(KvServer, BurstGroupingScattersExactlyLikePerItemDispatch) {
+// overlapping key sets, executed under every burst depth, must scatter
+// exactly the values the test wrote back to the slot that asked for them.
+TEST(KvServer, BurstGroupingScattersExactResults) {
   const Topology topo = Topology::simulated(2, 4);
   constexpr std::uint64_t kKeys = 1024;
   constexpr std::size_t kReqs = 24;
@@ -851,19 +864,27 @@ TEST(KvServer, BurstGroupingScattersExactlyLikePerItemDispatch) {
     return std::tuple{outs, hits, gathers, bursts};
   };
 
-  const auto [out0, hits0, gathers0, bursts0] = run(0);  // per-item control
-  EXPECT_EQ(gathers0, 0u);
-  EXPECT_EQ(bursts0, 0u);
+  // The oracle is the preload itself: key k < kKeys holds k*7+1, every
+  // other key is absent.
+  std::vector<std::uint64_t> expect_hits(kReqs, 0);
+  for (std::size_t r = 0; r < kReqs; ++r)
+    for (const std::uint64_t key : key_sets[r]) expect_hits[r] += key < kKeys;
   for (const std::size_t k : {std::size_t{1}, std::size_t{4},
                               std::size_t{16}}) {
     const auto [outK, hitsK, gathersK, burstsK] = run(k);
     EXPECT_GT(gathersK, 0u);
     EXPECT_GT(burstsK, 0u);
-    EXPECT_EQ(hitsK, hits0) << "burst=" << k;
-    for (std::size_t r = 0; r < kReqs; ++r)
-      for (std::size_t i = 0; i < kBatch; ++i)
-        EXPECT_EQ(outK[r][i], out0[r][i])
+    for (std::size_t r = 0; r < kReqs; ++r) {
+      EXPECT_EQ(hitsK[r], expect_hits[r]) << "burst=" << k << " req=" << r;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        const std::uint64_t key = key_sets[r][i];
+        const std::optional<std::uint64_t> want =
+            key < kKeys ? std::optional<std::uint64_t>(key * 7 + 1)
+                        : std::nullopt;
+        EXPECT_EQ(outK[r][i], want)
             << "burst=" << k << " req=" << r << " key#" << i;
+      }
+    }
   }
 }
 

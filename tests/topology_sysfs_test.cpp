@@ -248,9 +248,9 @@ TEST(TopologySysfs, WorkerPoolOnMemoryOnlyNodeDoesNotHang) {
       serve::ServeConfig{}.with_workers(2).with_pin(false);
   std::atomic<int> executed_on_node0{0};
   serve::WorkerPool<int> pool(
-      *t, cfg, serve::WorkerPool<int>::Handler([&](int, int node, int&) {
-        if (node == 0) executed_on_node0.fetch_add(1);
-      }));
+      *t, cfg, [&](int, int node, int*, std::size_t n) {
+        if (node == 0) executed_on_node0.fetch_add(static_cast<int>(n));
+      });
   EXPECT_EQ(pool.workers_per_node(), 2);
   EXPECT_EQ(pool.workers_in_node(0), 2);
   EXPECT_EQ(pool.workers_in_node(1), 0);
@@ -259,8 +259,10 @@ TEST(TopologySysfs, WorkerPoolOnMemoryOnlyNodeDoesNotHang) {
   EXPECT_EQ(pool.execution_node(1), 0);
   // Submits to BOTH nodes must complete — node 1's land on node 0.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(pool.submit(0, i), serve::AdmitResult::kAccepted);
-    ASSERT_EQ(pool.submit(1, i), serve::AdmitResult::kAccepted);
+    ASSERT_EQ(pool.submit_many(0, &i, 1).outcome,
+              serve::AdmitResult::kAccepted);
+    ASSERT_EQ(pool.submit_many(1, &i, 1).outcome,
+              serve::AdmitResult::kAccepted);
   }
   pool.shutdown();
   EXPECT_EQ(executed_on_node0.load(), 16);
@@ -274,11 +276,13 @@ TEST(TopologySysfs, WorkerPoolOnMemoryOnlyNodeDoesNotHang) {
       *t,
       serve::ServeConfig{}.with_widths(1, 2).with_pin(false).with_park(
           serve::ParkPolicy::kFutex, /*grace_ns=*/1'000),
-      serve::WorkerPool<int>::Handler([](int, int, int&) {}));
+      [](int, int, int*, std::size_t) {});
   EXPECT_EQ(epool.workers_in_node(0), 2);
   EXPECT_EQ(epool.workers_in_node(1), 0);
   EXPECT_EQ(epool.parked(1), 0);
-  ASSERT_EQ(epool.submit(1, 1), serve::AdmitResult::kAccepted);
+  const int one = 1;
+  ASSERT_EQ(epool.submit_many(1, &one, 1).outcome,
+            serve::AdmitResult::kAccepted);
   epool.shutdown();
 }
 
