@@ -60,7 +60,7 @@ serve::ServeConfig arm_config(bool elastic) {
   return serve::ServeConfig{}
       .with_widths(elastic ? 1 : 4, 4)
       .with_pin(false)
-      .with_park(serve::ParkPolicy::kFutex, 20'000);
+      .with_park(20'000);
 }
 
 struct ArmResult {

@@ -6,9 +6,10 @@
 //     on the owning node's pinned pool, against first-touched sub-maps) vs.
 //     node-oblivious (identical slices, identical batching, round-robin
 //     pools and caller-thread allocation) — simulated 1/2/4-node shapes;
-//   * handoff budget: the cohort locks' fixed budget vs. the AdaptiveBudget
-//     control law, on the mixed 70/30 mix where batching taxes readers —
-//     adaptive should hold throughput while shedding preemption aborts;
+//   * handoff budget: the cohort locks' fixed intra-node handoff budget on
+//     the mixed 70/30 mix, where batching taxes readers — the handoff rate
+//     and reader-preemption aborts show how often batches form and how
+//     often a waiting reader cuts them short;
 //   * pinning: worker pools with and without Topology::pin_this_thread
 //     (on hosts narrower than the simulated shape pinning degrades to a
 //     recorded no-op — the `pinned_workers` metric says what really ran).
@@ -60,11 +61,6 @@ struct SimHotCohortWp : CohortMwWriterPrefLock<HotPathProvider> {
   explicit SimHotCohortWp(int n)
       : CohortMwWriterPrefLock<HotPathProvider>(n, Topology::simulated(N, C)) {
   }
-};
-template <int N, int C>
-struct SimAdaptiveCohortSf : AdaptiveCohortMwStarvationFreeLock<> {
-  explicit SimAdaptiveCohortSf(int n)
-      : AdaptiveCohortMwStarvationFreeLock<>(n, Topology::simulated(N, C)) {}
 };
 
 struct RowOpts {
@@ -239,9 +235,9 @@ void run(BenchContext& ctx) {
       << "E18: NUMA-aware KV serving runtime (" << ctx.params().threads
       << " client threads, 2 workers/node, get_many batch " << kBatch
       << ")\n"
-      << "Arms: node-local vs oblivious placement (1/2/4-node sims), fixed\n"
-      << "vs adaptive cohort handoff budget (70/30 mix), pinned vs unpinned\n"
-      << "pools, burst depth K (bulk-claim + shard-grouped execution).\n"
+      << "Arms: node-local vs oblivious placement (1/2/4-node sims), cohort\n"
+      << "handoff budget (70/30 mix), pinned vs unpinned pools, burst\n"
+      << "depth K (bulk-claim + shard-grouped execution).\n"
       << "Latencies are client-side end-to-end (queue wait included).\n\n";
   Table t({"config", "nodes", "read_ratio", "mops_per_s", "p50_us", "p99_us",
            "handoff_rate", "preempts", "pinned"});
@@ -262,13 +258,12 @@ void run(BenchContext& ctx) {
       ctx, t, {"place/oblivious/4x2", 4, 2, 0.95, false, true});
 
   // Handoff budget under the mixed write-heavy mix, one shard per node so
-  // the cohort layer sees the contention: the adaptive law should match
-  // fixed throughput while cutting reader-preemption aborts.  The wrapped
-  // regime is starvation-free (preemption enabled; WP disables it).
+  // the cohort layer sees the contention: handoff_rate and preempts show
+  // how the fixed budget batches writers and how often a diverted reader
+  // cuts a batch short.  The wrapped regime is starvation-free (reader
+  // preemption enabled; WP disables it).
   runtime_row<SimCohortSf<2, 4>>(
       ctx, t, {"budget/fixed/2x4", 2, 4, 0.70, true, true, 1, 8});
-  runtime_row<SimAdaptiveCohortSf<2, 4>>(
-      ctx, t, {"budget/adaptive/2x4", 2, 4, 0.70, true, true, 1, 8});
 
   // Burst dataplane (DESIGN.md §11): workers bulk-claim up to K slices per
   // poll and execute each shard group under one lock epoch.  k1 is the
@@ -280,13 +275,11 @@ void run(BenchContext& ctx) {
   runtime_row<SimCohortWp<2, 4>>(
       ctx, t, {"burst/k16/2x4", 2, 4, 0.95, true, true, 8, 4, 16});
 
-  // Burst composed with the handoff-budget arms: the grouped gather takes
-  // ONE cohort ticket per shard group, so fewer, longer lock epochs feed
-  // the fixed vs adaptive budget comparison.
+  // Burst composed with the handoff-budget row: the grouped gather takes
+  // ONE cohort ticket per shard group, so fewer, longer lock epochs reach
+  // the cohort layer.
   runtime_row<SimCohortSf<2, 4>>(
       ctx, t, {"budget/fixed/2x4/k16", 2, 4, 0.70, true, true, 1, 8, 16});
-  runtime_row<SimAdaptiveCohortSf<2, 4>>(
-      ctx, t, {"budget/adaptive/2x4/k16", 2, 4, 0.70, true, true, 1, 8, 16});
 
   // Pinning: the same node-local row with pools left unpinned.
   runtime_row<SimCohortWp<2, 4>>(
@@ -296,7 +289,7 @@ void run(BenchContext& ctx) {
 }
 
 BJRW_BENCH("serve_runtime",
-           "E18: NUMA-aware KV serving runtime — placement, adaptive "
+           "E18: NUMA-aware KV serving runtime — placement, cohort "
            "handoff budget, pinned worker pools over simulated topologies",
            run);
 

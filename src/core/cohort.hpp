@@ -101,62 +101,7 @@ template <class Provider, class Spin>
 struct CohortReaderPreempt<MwWriterPrefLock<Provider, Spin>>
     : std::false_type {};
 
-// ---- handoff-budget policies ------------------------------------------------
-//
-// How many consecutive intra-node handoffs a batch may run is a policy: the
-// releasing writer consults `budget()` before each handoff and reports every
-// batch end through `on_batch_end`.  One policy instance lives per node,
-// inside that node's queue line, and is touched only by the writer currently
-// holding the node ticket — so policies are plain unsynchronized state, like
-// the statistics stripes (exact to read at quiescence only).
-
-inline constexpr int kCohortHandoffBudgetDefault = 16;
-
-// The historical behavior: a constructor constant, never adjusted.
-class FixedBudget {
- public:
-  FixedBudget() = default;
-  explicit FixedBudget(int budget) : budget_(budget < 0 ? 0 : budget) {}
-  int budget() const { return budget_; }
-  void on_batch_end(bool /*exhausted*/, bool /*preempted*/) {}
-
- private:
-  int budget_ = kCohortHandoffBudgetDefault;
-};
-
-// Reactive budget (ROADMAP "adaptive handoff budget"): multiplicative
-// increase / decrease over the batch outcomes the release path already
-// observes.  A batch that ran its full budget with a node-mate still queued
-// means write demand outruns the budget — double it (up to kMax), widening
-// batches amortizes the leader's raise+sweep further.  A batch cut short by
-// a waiting diverted reader means batching is taxing readers — halve it
-// (down to kMin), so read-mostly phases converge to short batches and the
-// reader-preemption aborts they cause largely disappear.  A batch that
-// simply drained (no local successor) says nothing about the budget and
-// leaves it unchanged.  The state is one int per node under the node
-// ticket; the control law costs the handoff path nothing.
-class AdaptiveBudget {
- public:
-  static constexpr int kMin = 1;
-  static constexpr int kMax = 64;
-
-  AdaptiveBudget() = default;
-  explicit AdaptiveBudget(int initial) : budget_(clamp(initial)) {}
-  int budget() const { return budget_; }
-  void on_batch_end(bool exhausted, bool preempted) {
-    if (preempted)
-      budget_ = clamp(budget_ / 2);
-    else if (exhausted)
-      budget_ = clamp(budget_ * 2);
-  }
-
- private:
-  static int clamp(int b) { return b < kMin ? kMin : (b > kMax ? kMax : b); }
-  int budget_ = kCohortHandoffBudgetDefault;
-};
-
-template <class Lock, class Provider = DefaultProvider, class Spin = YieldSpin,
-          class Budget = FixedBudget>
+template <class Lock, class Provider = DefaultProvider, class Spin = YieldSpin>
 class CohortLock {
   template <class T>
   using Atomic = typename Provider::template Atomic<T>;
@@ -165,8 +110,7 @@ class CohortLock {
   // Consecutive intra-node handoffs before the global lock must be
   // released: bounds remote writers' and diverted readers' extra wait to
   // one batch while amortizing the leader's raise+sweep over the batch.
-  // (For AdaptiveBudget this is the initial value of the control law.)
-  static constexpr int kDefaultHandoffBudget = kCohortHandoffBudgetDefault;
+  static constexpr int kDefaultHandoffBudget = 16;
   // Per-node reader-slot cap; bounds the leader's sweep and the slot
   // memory on huge nodes, at the cost of slot sharing between lanes.
   static constexpr int kMaxSlotsPerNode = 16;
@@ -210,8 +154,6 @@ class CohortLock {
       if (++occupancy[idx(rctx_[idx(t)].slot)] > 1) exclusive = false;
     }
     exclusive_slots_ = exclusive;
-    for (int d = 0; d < node_count_; ++d)
-      queues_[idx(d)].policy = Budget(budget_);
   }
 
   // ---- reader side ---------------------------------------------------------
@@ -280,28 +222,26 @@ class CohortLock {
     // is always safe — so it needs no ordering at all.
     const bool successor =
         q.tickets.load(ord::relaxed) > wctx_[idx(tid)].ticket + 1;
-    const bool exhausted = q.batch >= q.policy.budget();
+    const bool exhausted = q.batch >= budget_;
     if (!exhausted && successor && !reader_preempted()) {
       ++q.batch;                 // pass the whole batch state to the next
       ++q.handoffs;
       q.handoff = 1;             // local writer: global lock stays held
       // Ledger site C10: the batch-handoff publish — the release half
-      // carries every plain NodeQueue field (handoff, owner_tid, batch,
-      // policy state) to the successor's acquire spin (C6).
+      // carries every plain NodeQueue field (handoff, owner_tid, batch) to
+      // the successor's acquire spin (C6).
       q.serving.fetch_add(1, ord::release);
       return;
     }
     // Batch ends.  Reaching here with a non-exhausted budget and a queued
     // successor means reader_preempted() fired — that is the only way the
     // conjunction above fails — so the cut reason is fully determined.
-    const bool preempted = !exhausted && successor;
-    if (preempted) ++q.preempt_aborts;
-    q.policy.on_batch_end(exhausted && successor, preempted);
+    if (!exhausted && successor) ++q.preempt_aborts;
     if constexpr (kReaderPreempt)
       // The release below admits the waiting readers whatever the cut
       // reason, so the advisory flag must not outlive the batch: carried
       // into the next batch it would be mis-attributed as a fresh
-      // preemption (phantom abort, spuriously narrowed AdaptiveBudget).
+      // preemption (a phantom abort that cuts the batch short).
       reader_waiting_.store(0, std::memory_order_relaxed);
     inner_.write_unlock(q.owner_tid);      // release under the leader's tid
     for (int d = 0; d < node_count_; ++d)  // reopen the fast path
@@ -344,18 +284,13 @@ class CohortLock {
       total += queues_[idx(d)].global_acquires;
     return total;
   }
-  // Batches cut short by a waiting diverted reader (the adaptive policy's
-  // narrow signal); same quiescence contract as handoffs().
+  // Batches cut short by a waiting diverted reader (reader preemption);
+  // same quiescence contract as handoffs().
   std::uint64_t preempt_aborts() const {
     std::uint64_t total = 0;
     for (int d = 0; d < node_count_; ++d)
       total += queues_[idx(d)].preempt_aborts;
     return total;
-  }
-  // The budget the node's policy currently grants (== the constructor value
-  // for FixedBudget; the control-law state for AdaptiveBudget).
-  int current_budget(int node) const {
-    return queues_[idx(node)].policy.budget();
   }
   // The advisory reader-preemption signal is raised and not yet consumed
   // (always false in regimes with preemption disabled).  Like
@@ -402,7 +337,6 @@ class CohortLock {
     int handoff = 0;    // next served writer inherits the batch
     int owner_tid = 0;  // tid under which the wrapped lock is held
     int batch = 0;      // handoffs since the leader's acquisition
-    Budget policy;      // per-node budget state, under the ticket like the rest
     std::uint64_t handoffs = 0;         // statistics stripes (see handoffs())
     std::uint64_t global_acquires = 0;
     std::uint64_t preempt_aborts = 0;   // batches ended by reader preemption
@@ -473,25 +407,5 @@ using CohortMwReaderPrefLock =
 template <class Provider = DefaultProvider, class Spin = YieldSpin>
 using CohortMwWriterPrefLock =
     CohortLock<MwWriterPrefLock<Provider, Spin>, Provider, Spin>;
-
-// The same regimes with the reactive handoff budget (see AdaptiveBudget).
-// The fixed-budget aliases above keep their API and constant-budget
-// semantics; the one cross-policy behavior change of the policy refactor
-// is that every batch end now clears the advisory reader flag (so a stale
-// flag cannot cut the next batch) and counts preemption aborts.
-template <class Provider = DefaultProvider, class Spin = YieldSpin>
-using AdaptiveCohortMwStarvationFreeLock =
-    CohortLock<MwStarvationFreeLock<Provider, Spin>, Provider, Spin,
-               AdaptiveBudget>;
-
-template <class Provider = DefaultProvider, class Spin = YieldSpin>
-using AdaptiveCohortMwReaderPrefLock =
-    CohortLock<MwReaderPrefLock<Provider, Spin>, Provider, Spin,
-               AdaptiveBudget>;
-
-template <class Provider = DefaultProvider, class Spin = YieldSpin>
-using AdaptiveCohortMwWriterPrefLock =
-    CohortLock<MwWriterPrefLock<Provider, Spin>, Provider, Spin,
-               AdaptiveBudget>;
 
 }  // namespace bjrw

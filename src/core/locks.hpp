@@ -88,22 +88,6 @@ static_assert(ReaderWriterLock<CohortStarvationFreeLock>);
 static_assert(ReaderWriterLock<CohortReaderPriorityLock>);
 static_assert(ReaderWriterLock<CohortWriterPriorityLock>);
 
-// Cohort variants with the reactive handoff budget (cohort.hpp
-// AdaptiveBudget): batches widen under sustained write bursts and narrow
-// when they start costing diverted readers preemption aborts.  The serving
-// runtime (src/serve/) selects these per deployment.
-
-using AdaptiveCohortStarvationFreeLock =
-    AdaptiveCohortMwStarvationFreeLock<DefaultProvider, YieldSpin>;
-using AdaptiveCohortReaderPriorityLock =
-    AdaptiveCohortMwReaderPrefLock<DefaultProvider, YieldSpin>;
-using AdaptiveCohortWriterPriorityLock =
-    AdaptiveCohortMwWriterPrefLock<DefaultProvider, YieldSpin>;
-
-static_assert(ReaderWriterLock<AdaptiveCohortStarvationFreeLock>);
-static_assert(ReaderWriterLock<AdaptiveCohortReaderPriorityLock>);
-static_assert(ReaderWriterLock<AdaptiveCohortWriterPriorityLock>);
-
 // --- explicit hot-path-policy variants ---------------------------------------
 //
 // The weakened-ordering builds of the two transforms that carry weakened

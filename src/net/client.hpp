@@ -454,8 +454,13 @@ class KvClient {
     // Data responses lead with the admission status; a refusal carries
     // nothing else.
     if (h.type != MsgType::kErrorResp) {
-      resp->status = static_cast<WireStatus>(u.u8());
-      if (u.failed()) return fail(ClientError::kProtocol);
+      // The status byte is peer input: a value outside the enum is a
+      // malformed frame, not a refusal to give up on.
+      const std::uint8_t status = u.u8();
+      if (u.failed() ||
+          status > static_cast<std::uint8_t>(WireStatus::kDeadline))
+        return fail(ClientError::kProtocol);
+      resp->status = static_cast<WireStatus>(status);
       if (resp->status != WireStatus::kOk) {
         if (!u.exhausted()) return fail(ClientError::kProtocol);
         return true;

@@ -140,8 +140,8 @@ class NetServer {
   std::uint64_t protocol_errors() const {
     return proto_errors_.load(std::memory_order_relaxed);
   }
-  // Times the event loop blocked after its idle grace ran out (never under
-  // ParkPolicy::kSpin); mirrors WorkerPool::parks().
+  // Times the event loop blocked after its idle grace ran out; mirrors
+  // WorkerPool::parks().
   std::uint64_t loop_parks() const {
     return loop_parks_.load(std::memory_order_relaxed);
   }
@@ -237,16 +237,14 @@ class NetServer {
     // grace, then block until an event or stop()'s wake_fd_ write.  The
     // grace runs on the free now_ns(), never the injectable ClockSource, so
     // a frozen VirtualClock cannot pin the loop in its spin phase.
-    const serve::ServeConfig& sc = kv_.config();
-    const bool may_park = sc.park_policy == serve::ParkPolicy::kFutex;
-    const std::uint64_t grace_ns = sc.park_grace_ns;
+    const std::uint64_t grace_ns = kv_.config().park_grace_ns;
     std::uint64_t idle_since = 0;  // 0: the last round made progress
     std::vector<epoll_event> events(64);
     for (;;) {
       const bool busy = total_in_flight_ > 0;
       if (stopping_.load(std::memory_order_acquire) && quiescent()) break;
       bool park = false;
-      if (may_park && !busy && !stopping_.load(std::memory_order_relaxed)) {
+      if (!busy && !stopping_.load(std::memory_order_relaxed)) {
         const std::uint64_t t = now_ns();
         if (idle_since == 0) {
           idle_since = t;

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -26,15 +27,6 @@ class ClockSource;  // src/harness/timing.hpp
 }
 
 namespace bjrw::serve {
-
-// How an idle serving thread waits for work (DESIGN.md §12).
-enum class ParkPolicy : std::uint8_t {
-  kFutex,  // block after park_grace_ns: parked workers wait on a futex
-           // (std::atomic wait/notify) until a submitter or shutdown wakes
-           // them; the NetServer loop blocks in epoll_wait until an event
-  kSpin,   // never block: idle threads keep yield-spinning (the pre-elastic
-           // behavior; the right choice for latency-critical pinned setups)
-};
 
 struct ServeConfig {
   // ---- placement / map ------------------------------------------------------
@@ -58,15 +50,13 @@ struct ServeConfig {
   std::size_t burst = 1;
 
   // ---- elasticity (DESIGN.md §12) -------------------------------------------
-  // Both knobs govern every serving thread: the elastic workers and the
-  // NetServer event loop (DESIGN.md §10).
-  ParkPolicy park_policy = ParkPolicy::kFutex;
   // How long an idle serving thread keeps polling before it blocks: a
   // worker beyond min_width on an empty queue (futex park), and the
-  // NetServer event loop with nothing in flight since its last progress
-  // (epoll_wait with no timeout).  Too short puts a wake-up back on
-  // closed-loop round trips and thrashes the futex under bursty arrivals;
-  // too long keeps idle spinners hot.  100us ≈ a few thousand failed polls.
+  // NetServer event loop (DESIGN.md §10) with nothing in flight since its
+  // last progress (epoll_wait with no timeout).  Too short puts a wake-up
+  // back on closed-loop round trips and thrashes the futex under bursty
+  // arrivals; too long keeps idle spinners hot.  100us ≈ a few thousand
+  // failed polls.
   std::uint64_t park_grace_ns = 100'000;
 
   // ---- admission (DESIGN.md §12) --------------------------------------------
@@ -127,7 +117,7 @@ struct ServeConfig {
     return *this;
   }
   ServeConfig& with_queue_capacity(std::size_t cap) {
-    if (cap < 2) fail("queue_capacity must be >= 2");
+    check_capacity(cap);
     queue_capacity = cap;
     return *this;
   }
@@ -149,9 +139,8 @@ struct ServeConfig {
     burst = b;
     return *this;
   }
-  ServeConfig& with_park(ParkPolicy policy, std::uint64_t grace_ns) {
+  ServeConfig& with_park(std::uint64_t grace_ns) {
     if (grace_ns == 0) fail("park_grace_ns must be > 0");
-    park_policy = policy;
     park_grace_ns = grace_ns;
     return *this;
   }
@@ -209,7 +198,7 @@ struct ServeConfig {
     if (shards_per_node < 1) fail("shards_per_node must be >= 1");
     if (min_width < 1) fail("min_width must be >= 1");
     if (max_width < min_width) fail("max_width must be >= min_width");
-    if (queue_capacity < 2) fail("queue_capacity must be >= 2");
+    check_capacity(queue_capacity);
     check_burst(burst, queue_capacity);
     if (park_grace_ns == 0) fail("park_grace_ns must be > 0");
     if (admit_rate < 0.0) fail("admit_rate must be >= 0");
@@ -226,6 +215,14 @@ struct ServeConfig {
   }
 
  private:
+  // The ring rounds its capacity up to a power of two, which overflows
+  // past the largest one a size_t holds.
+  static void check_capacity(std::size_t cap) {
+    constexpr std::size_t kMax =
+        std::numeric_limits<std::size_t>::max() / 2 + 1;
+    if (cap < 2 || cap > kMax)
+      fail("queue_capacity must be in [2, the largest power of two]");
+  }
   // A run longer than the ring can never be claimed, and each worker
   // allocates a `burst`-slot buffer up front.
   static void check_burst(std::size_t b, std::size_t capacity) {

@@ -32,8 +32,8 @@
 // Elasticity (DESIGN.md §12): the pool spawns max_width workers per node
 // but only min_width of them are committed spinners.  A worker beyond the
 // floor that finds its queue empty for park_grace_ns parks on the node's
-// wake epoch (std::atomic wait/notify — a futex on Linux — or keeps
-// yield-spinning under ParkPolicy::kSpin); submitters wake parked workers
+// wake epoch (std::atomic wait/notify — a futex on Linux); a fixed-width
+// pool (min_width == max_width) never parks.  Submitters wake parked workers
 // when the published depth outruns the awake width, and shutdown() wakes
 // everyone.  The park protocol reuses the shutdown drain's seq_cst Dekker
 // shape, so parking can never strand an accepted item (see park()).
@@ -372,7 +372,6 @@ class WorkerPool {
   void init(const ServeConfig& cfg) {
     const int nodes = topo_.node_count();
     burst_ = cfg.burst;
-    park_futex_ = cfg.park_policy == ParkPolicy::kFutex;
     grace_ns_ = cfg.park_grace_ns;
     // Pool tids are logical-CPU indices: node d's w-th worker gets the tid
     // of that node's w-th CPU, which node_of_tid maps straight back to d.
@@ -417,9 +416,9 @@ class WorkerPool {
     if (pin && topo_.pin_this_thread(tid))
       pinned_.fetch_add(1, std::memory_order_relaxed);
     NodeState& n = nodes_[idx(d)];
-    // Workers beyond the committed floor are the elastic ones; under the
-    // spin policy nobody parks and the loop is the historical spinner.
-    const bool may_park = park_futex_ && w >= min_width_;
+    // Workers beyond the committed floor are the elastic ones: only they
+    // park, so a fixed-width pool is all spinners.
+    const bool may_park = w >= min_width_;
     std::vector<Item> batch(burst_);
     std::uint64_t idle_since = 0;  // 0: queue was non-empty at last poll
     std::uint32_t polls_since_maint = 0;
@@ -535,7 +534,6 @@ class WorkerPool {
   int workers_per_node_ = 1;  // spawned (elastic ceiling) after CPU clamp
   int min_width_ = 1;         // committed floor: these never park
   std::size_t burst_ = 1;
-  bool park_futex_ = true;
   std::uint64_t grace_ns_ = 100'000;
   std::vector<int> node_base_;  // node -> first logical CPU index (pool tid)
   std::vector<int> route_;      // node -> nearest CPU-bearing node (or self)

@@ -6,7 +6,7 @@
 //    eagerly; the 0-means-derived admit-burst rule;
 //  * WorkerPool elasticity — workers beyond min_width park after the grace
 //    period on an empty queue and submitters wake them when depth outruns
-//    the awake width; ParkPolicy::kSpin never parks;
+//    the awake width; a fixed-width pool never parks;
 //  * KvServer admission — the per-node token bucket sheds beyond the
 //    bucket depth with all-or-nothing batch charging, the queue high-water
 //    check defers with kQueueFull before the bucket is touched (choreographed
@@ -36,7 +36,6 @@ namespace {
 
 using serve::AdmitResult;
 using serve::KvServer;
-using serve::ParkPolicy;
 using serve::Request;
 using serve::RequestKind;
 using serve::ServeConfig;
@@ -78,8 +77,7 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   EXPECT_THROW(ServeConfig{}.with_widths(0, 1), std::invalid_argument);
   EXPECT_THROW(ServeConfig{}.with_widths(3, 2), std::invalid_argument);
   EXPECT_THROW(ServeConfig{}.with_queue_capacity(1), std::invalid_argument);
-  EXPECT_THROW(ServeConfig{}.with_park(ParkPolicy::kFutex, 0),
-               std::invalid_argument);
+  EXPECT_THROW(ServeConfig{}.with_park(0), std::invalid_argument);
   EXPECT_THROW(ServeConfig{}.with_admission(-1.0), std::invalid_argument);
   // burst lives in [1, queue_capacity]: 0 has no worker loop, and a run
   // longer than the ring can never be claimed.
@@ -88,6 +86,14 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   EXPECT_THROW(ServeConfig{}.with_queue_capacity(64).with_burst(65),
                std::invalid_argument);
   EXPECT_NO_THROW(ServeConfig{}.with_queue_capacity(64).with_burst(64));
+  // The ring rounds its capacity up to a power of two, which overflows
+  // past the largest one a size_t holds.
+  constexpr std::size_t kTopPow2 = SIZE_MAX / 2 + 1;
+  EXPECT_THROW(ServeConfig{}.with_queue_capacity(SIZE_MAX),
+               std::invalid_argument);
+  EXPECT_THROW(ServeConfig{}.with_queue_capacity(kTopPow2 + 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ServeConfig{}.with_queue_capacity(kTopPow2));
 
   // Direct field assignment keeps working but hits the same gate at
   // validate() — the choke point every consumer runs at construction.
@@ -106,6 +112,11 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   bad = ServeConfig{};
   bad.queue_capacity = 64;
   bad.burst = 65;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = ServeConfig{};
+  bad.queue_capacity = SIZE_MAX;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad.queue_capacity = kTopPow2 + 1;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   // The pool must refuse a SIZE_MAX burst before any worker allocates its
   // run buffer: that allocation would throw on a worker thread and
@@ -126,7 +137,7 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
                               .with_dispatch(false)
                               .with_alloc(false)
                               .with_burst(4)
-                              .with_park(ParkPolicy::kSpin, 5'000)
+                              .with_park(5'000)
                               .with_admission(1e6, 128)
                               .with_high_water(32);
   EXPECT_EQ(cfg.shards_per_node, 4u);
@@ -137,7 +148,6 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   EXPECT_FALSE(cfg.node_local_dispatch);
   EXPECT_FALSE(cfg.node_local_alloc);
   EXPECT_EQ(cfg.burst, 4u);
-  EXPECT_EQ(cfg.park_policy, ParkPolicy::kSpin);
   EXPECT_EQ(cfg.park_grace_ns, 5'000u);
   EXPECT_EQ(cfg.admit_rate, 1e6);
   EXPECT_EQ(cfg.queue_high_water, 32u);
@@ -168,7 +178,7 @@ TEST(WorkerPoolElasticity, WorkersParkAfterGraceAndSubmittersWakeThem) {
                               .with_widths(1, 4)
                               .with_queue_capacity(128)
                               .with_pin(false)
-                              .with_park(ParkPolicy::kFutex, 20'000);
+                              .with_park(20'000);
   std::atomic<bool> gate{false};
   std::atomic<int> executed{0};
   WorkerPool<int> pool(topo, cfg, [&](int, int, int* items, std::size_t n) {
@@ -215,20 +225,24 @@ TEST(WorkerPoolElasticity, WorkersParkAfterGraceAndSubmittersWakeThem) {
   EXPECT_EQ(pool.parked(0), 0);  // shutdown woke and joined everyone
 }
 
-TEST(WorkerPoolElasticity, SpinPolicyNeverParks) {
+TEST(WorkerPoolElasticity, FixedWidthPoolNeverParks) {
+  // min_width == max_width: every worker is on the committed floor, so
+  // none of them parks however long the queue stays empty.
   const Topology topo = Topology::simulated(1, 2);
   const ServeConfig cfg = ServeConfig{}
-                              .with_widths(1, 2)
+                              .with_widths(2, 2)
                               .with_pin(false)
-                              .with_park(ParkPolicy::kSpin, 1'000);
+                              .with_park(1'000);
   std::atomic<int> executed{0};
   WorkerPool<int> pool(topo, cfg, [&](int, int, int*, std::size_t n) {
     executed.fetch_add(static_cast<int>(n), std::memory_order_relaxed);
   });
   // Give idle workers many grace periods' worth of chances to park.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(pool.workers_in_node(0), 2);
   EXPECT_EQ(pool.parked(0), 0);
   EXPECT_EQ(pool.parks(0), 0u);
+  EXPECT_EQ(pool.wakes(0), 0u);
   for (int i = 0; i < 16; ++i)
     ASSERT_EQ(submit_one(pool, 0, i), AdmitResult::kAccepted);
   spin_until<YieldSpin>([&] {
@@ -438,7 +452,7 @@ TEST(KvAdmission, NodeStatsExposeElasticityCounters) {
       topo, ServeConfig{}
                 .with_widths(1, 2)
                 .with_pin(false)
-                .with_park(ParkPolicy::kFutex, 10'000));
+                .with_park(10'000));
   // The elastic second worker parks once the grace period lapses with no
   // traffic, and the park shows up in the stats surface the examples print
   // (parked is advertised before the pre-wait re-check, parks counted

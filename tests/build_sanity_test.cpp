@@ -55,9 +55,6 @@ void exercise_all_rw() {
   exercise_rw<CohortMwStarvationFreeLock<P, YieldSpin>>();
   exercise_rw<CohortMwReaderPrefLock<P, YieldSpin>>();
   exercise_rw<CohortMwWriterPrefLock<P, YieldSpin>>();
-  exercise_rw<AdaptiveCohortMwStarvationFreeLock<P, YieldSpin>>();
-  exercise_rw<AdaptiveCohortMwReaderPrefLock<P, YieldSpin>>();
-  exercise_rw<AdaptiveCohortMwWriterPrefLock<P, YieldSpin>>();
   exercise_rw<BigReaderLock<P, YieldSpin>>();
   exercise_rw<CentralizedReaderPrefRwLock<P, YieldSpin>>();
   exercise_rw<CentralizedWriterPrefRwLock<P, YieldSpin>>();

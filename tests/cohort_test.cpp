@@ -4,7 +4,8 @@
 //  * CohortLock — mutual exclusion at n = 2/4/8 on a simulated 2-node
 //    topology, regime fairness (WP1 through the transform, starvation
 //    freedom under a reader flood), deterministic handoff/batch accounting,
-//    and the flat per-attempt reader-RMR ceiling on the instrumented CC
+//    reader preemption cutting a batch short (and never a later one), and
+//    the flat per-attempt reader-RMR ceiling on the instrumented CC
 //    model (the same contract rmr_regression_test pins for the paper locks).
 #include <gtest/gtest.h>
 
@@ -221,6 +222,104 @@ TEST(CohortLock, ZeroBudgetDisablesHandoff) {
   });
   EXPECT_EQ(l.handoffs(), 0u);
   EXPECT_EQ(l.global_acquires(), 40u);
+}
+
+// ---- CohortLock: reader preemption -----------------------------------------
+
+TEST(CohortLock, ReaderPreemptionEndsBatchAndCountsAbort) {
+  // tids 0/1 share node 0 of 2x4; tid 2 is a reader on the same node.
+  // Writer 0 holds the CS, writer 1 queues behind it, and the reader
+  // arrives (gate up -> diverts into the wrapped lock, raising the
+  // advisory flag).  Writer 0's release must then end the batch although
+  // the budget of 8 allows a handoff: no handoff, one preempt abort.
+  CohortStarvationFreeLock l(4, Topology::simulated(2, 4), /*budget=*/8);
+  std::atomic<bool> holding{false};
+  run_threads(3, [&](std::size_t t) {
+    if (t == 0) {
+      l.write_lock(0);
+      holding.store(true);
+      // Release only once both the successor writer and the diverted
+      // reader are *provably* visible (only this unlock consumes the
+      // advisory flag, so the spin is deterministic, not a grace window).
+      spin_until<YieldSpin>([&] { return l.writers_queued(0) == 2; });
+      spin_until<YieldSpin>([&] { return l.reader_waiting(); });
+      l.write_unlock(0);
+    } else if (t == 1) {
+      spin_until<YieldSpin>([&] { return holding.load(); });
+      l.write_lock(1);
+      l.write_unlock(1);
+    } else {
+      spin_until<YieldSpin>([&] { return holding.load(); });
+      l.read_lock(2);
+      l.read_unlock(2);
+    }
+  });
+  EXPECT_EQ(l.preempt_aborts(), 1u);
+  EXPECT_EQ(l.handoffs(), 0u);
+  EXPECT_EQ(l.global_acquires(), 2u);
+}
+
+TEST(CohortLock, StaleReaderFlagDoesNotPhantomPreemptTheNextBatch) {
+  // A batch that ends *exhausted* while a diverted reader waits must not
+  // leave the advisory flag armed: the release admits that reader, and a
+  // carried-over flag would be mis-attributed as a fresh preemption by
+  // the next batch's first release (a phantom abort that cuts it short).
+  // Choreography on node 0 of 2x4 (tids 0..3), reader on node 1 (tid 4),
+  // budget 1:
+  //   w0 -> w1 handoff (batch = budget), reader raises the flag during
+  //   w1's hold, w1's release ends the batch EXHAUSTED (flag must be
+  //   cleared); then w2 -> w3 must be a clean handoff — not a phantom
+  //   preempt abort.
+  CohortStarvationFreeLock l(5, Topology::simulated(2, 4), /*budget=*/1);
+  std::atomic<bool> h0{false}, h1{false}, h2{false};
+  run_threads(5, [&](std::size_t t) {
+    switch (t) {
+      case 0:
+        l.write_lock(0);
+        h0.store(true);
+        spin_until<YieldSpin>([&] { return l.writers_queued(0) == 2; });
+        l.write_unlock(0);  // handoff to w1: batch reaches the budget
+        break;
+      case 1:
+        spin_until<YieldSpin>([&] { return h0.load(); });
+        l.write_lock(1);
+        h1.store(true);
+        spin_until<YieldSpin>([&] {
+          return l.reader_waiting() && l.writers_queued(0) == 2;
+        });
+        l.write_unlock(1);  // exhausted end with the flag raised
+        break;
+      case 2:
+        spin_until<YieldSpin>([&] { return h1.load(); });
+        l.write_lock(2);
+        h2.store(true);
+        spin_until<YieldSpin>([&] { return l.writers_queued(0) == 2; });
+        l.write_unlock(2);  // must hand off to w3, not phantom-preempt
+        break;
+      case 3:
+        spin_until<YieldSpin>([&] { return h2.load(); });
+        l.write_lock(3);
+        l.write_unlock(3);
+        break;
+      default:  // reader: diverts during w1's hold, raising the flag
+        spin_until<YieldSpin>([&] { return h1.load(); });
+        l.read_lock(4);
+        l.read_unlock(4);
+        break;
+    }
+  });
+  EXPECT_EQ(l.preempt_aborts(), 0u) << "stale flag phantom-preempted";
+  EXPECT_EQ(l.handoffs(), 2u);         // w0->w1 and w2->w3
+  EXPECT_EQ(l.global_acquires(), 2u);  // w0 and w2 leaders only
+}
+
+TEST(CohortLock, PreemptAbortsStartAtZeroAndBudgetIsConstant) {
+  CohortStarvationFreeLock l(4, Topology::simulated(2, 4), /*budget=*/8);
+  EXPECT_EQ(l.handoff_budget(), 8);
+  EXPECT_EQ(l.preempt_aborts(), 0u);
+  l.write_lock(0);
+  l.write_unlock(0);
+  EXPECT_EQ(l.handoff_budget(), 8);
 }
 
 // ---- CohortLock: regime fairness --------------------------------------------

@@ -6,9 +6,9 @@
 // connection reset is survived by the client's reconnect path (the sync
 // conveniences and the loadgen's pipelines alike), shed refusals are
 // retried within their attempt budget, a hung server costs the per-op
-// budget instead of blocking forever, and an op budget too large for the
-// clock never expires.  The CI stress matrix also runs this binary under
-// ThreadSanitizer.
+// budget instead of blocking forever, an undefined status byte is a
+// protocol error, and an op budget too large for the clock never expires.
+// The CI stress matrix also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "src/core/locks.hpp"
@@ -329,24 +330,45 @@ TEST(NetFault, LoadgenReconnectsThroughResetAndAccountsEveryOp) {
   expect_every_attempt_accounted(cfg, r);
 }
 
-// ---- hung server: the per-op budget bounds the wait --------------------------
+// ---- raw peers: a listening socket with no NetServer behind it --------------
+
+// Listens on an ephemeral loopback port; returns the fd (-1 on failure).
+int listen_loopback(std::uint16_t* port) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (lfd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t alen = sizeof addr;
+  if (::bind(lfd, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof addr) != 0 ||
+      ::listen(lfd, 8) != 0 ||
+      ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen) != 0) {
+    ::close(lfd);
+    return -1;
+  }
+  *port = ntohs(addr.sin_port);
+  return lfd;
+}
+
+bool read_all(int fd, std::uint8_t* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t r = ::recv(fd, p, n, 0);
+    if (r <= 0) return false;
+    p += r;
+    n -= static_cast<std::size_t>(r);
+  }
+  return true;
+}
 
 TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
   // A listening socket whose backlog accepts the TCP handshake but which
   // never reads or answers: before per-op timeouts, KvClient::get blocked
   // in recv() indefinitely here.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  std::uint16_t port = 0;
+  const int lfd = listen_loopback(&port);
   ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof addr), 0);
-  ASSERT_EQ(::listen(lfd, 8), 0);
-  socklen_t alen = sizeof addr;
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
 
   ClientConfig cfg;
   cfg.op_timeout_ms = 100;
@@ -365,6 +387,54 @@ TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             5'000);
+  ::close(lfd);
+}
+
+TEST(NetFault, UndefinedStatusByteIsAProtocolError) {
+  // The status byte of a data response is peer input.  A raw peer answers
+  // one get with a well-formed kGetResp frame whose status is 9, a value
+  // WireStatus does not define: the client must fail the op as kProtocol
+  // and close, not read it as a refusal and give up quietly.
+  std::uint16_t port = 0;
+  const int lfd = listen_loopback(&port);
+  ASSERT_GE(lfd, 0);
+  std::thread peer([lfd] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    std::uint8_t len[kFrameLenSize];
+    std::vector<std::uint8_t> frame;
+    MsgHeader h;
+    ErrorCode err;
+    if (read_all(fd, len, sizeof len)) {
+      frame.resize((std::size_t{len[0]} << 24) | (std::size_t{len[1]} << 16) |
+                   (std::size_t{len[2]} << 8) | len[3]);
+      Unpacker u(frame.data(), frame.size());
+      if (read_all(fd, frame.data(), frame.size()) &&
+          unpack_header(u, &h, &err)) {
+        PackBuffer b;
+        pack_status_resp(b, MsgType::kGetResp, h.request_id,
+                         static_cast<WireStatus>(9));
+        [[maybe_unused]] const ssize_t n = ::send(fd, b.data(), b.size(), 0);
+      }
+    }
+    // Hold the connection until the client has judged the frame, so an
+    // EOF cannot stand in for the verdict.
+    std::uint8_t sink;
+    [[maybe_unused]] const ssize_t r = ::recv(fd, &sink, 1, 0);
+    ::close(fd);
+  });
+
+  ClientConfig cfg;
+  cfg.op_timeout_ms = 5'000;
+  cfg.retry.max_attempts = 1;
+  cfg.retry.reconnect = false;
+  auto c = KvClient::connect(port, cfg);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_FALSE(c->get(1).has_value());
+  EXPECT_EQ(c->last_error(), ClientError::kProtocol);
+  EXPECT_FALSE(c->ok());  // closed: the peer's stream can't be trusted
+  c.reset();              // our close ends the peer's final recv
+  peer.join();
   ::close(lfd);
 }
 

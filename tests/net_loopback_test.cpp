@@ -5,7 +5,7 @@
 // correlation, protocol-error replies (oversized frame, bad magic, any
 // other protocol version, unknown type), typed shed refusals, TTL and
 // deadline-budget ops, concurrent clients, the event loop's
-// spin-then-park idle policy, and orderly server stop.  The CI stress
+// spin-then-park idle loop, and orderly server stop.  The CI stress
 // matrix also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
@@ -396,7 +396,7 @@ void idle_until_loop_parks(Loopback& lb) {
 }
 
 TEST(NetLoopback, IdleEventLoopParksAndStillAnswers) {
-  Loopback lb;  // default ParkPolicy::kFutex, 100us grace
+  Loopback lb;  // default 100us park grace
   ASSERT_TRUE(lb.net.ok());
   KvClient c = lb.client();
   ASSERT_TRUE(c.put(7, 70));
@@ -404,17 +404,6 @@ TEST(NetLoopback, IdleEventLoopParksAndStillAnswers) {
   EXPECT_GE(lb.net.loop_parks(), 1u);
   // The parked loop is woken by the request's own EPOLLIN.
   EXPECT_EQ(c.get(7).value_or(0), 70u);
-}
-
-TEST(NetLoopback, SpinPolicyEventLoopNeverParks) {
-  Loopback lb({}, Loopback::server_config().with_park(
-                      serve::ParkPolicy::kSpin, 100'000));
-  ASSERT_TRUE(lb.net.ok());
-  KvClient c = lb.client();
-  ASSERT_TRUE(c.put(7, 70));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // 50 graces
-  EXPECT_EQ(c.get(7).value_or(0), 70u);
-  EXPECT_EQ(lb.net.loop_parks(), 0u);
 }
 
 TEST(NetLoopback, StopWakesParkedEventLoop) {

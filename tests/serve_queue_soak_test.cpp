@@ -239,7 +239,7 @@ TEST(ServeQueueSoak, BurstKvServerConservesOpsUnderBatchedSubmit) {
                               .with_workers(2)
                               .with_queue_capacity(128)
                               .with_burst(8);
-  KvServer<AdaptiveCohortStarvationFreeLock> server(topo, cfg);
+  KvServer<CohortStarvationFreeLock> server(topo, cfg);
 
   for (std::uint64_t k = 0; k < 1024; ++k) server.map().put(0, k, k * 3);
 
@@ -292,7 +292,7 @@ TEST(ServeQueueSoak, KvServerMixedTrafficConservesOps) {
   // Small queues: the publish-side backpressure path is exercised.
   const ServeConfig cfg =
       ServeConfig{}.with_workers(2).with_queue_capacity(128);
-  KvServer<AdaptiveCohortStarvationFreeLock> server(topo, cfg);
+  KvServer<CohortStarvationFreeLock> server(topo, cfg);
 
   for (std::uint64_t k = 0; k < 1024; ++k) server.map().put(0, k, k * 3);
 
@@ -446,8 +446,7 @@ TEST(ServeQueueSoak, ElasticParkWakeRacingShutdownConservesItems) {
                              .with_widths(1, 2)
                              .with_queue_capacity(16)
                              .with_pin(false)
-                             .with_park(serve::ParkPolicy::kFutex,
-                                        /*grace_ns=*/5'000),
+                             .with_park(/*grace_ns=*/5'000),
                          [&](int, int, int*, std::size_t n) {
                            executed.fetch_add(n);
                          });
@@ -495,7 +494,7 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
             .with_queue_capacity(64)
             .with_pin(false)
             .with_burst(4)
-            .with_park(serve::ParkPolicy::kFutex, /*grace_ns=*/20'000)
+            .with_park(/*grace_ns=*/20'000)
             .with_admission(/*rate=*/4e6, /*bucket=*/256)
             .with_high_water(48);
     KvServer<CohortWriterPriorityLock> server(topo, cfg);

@@ -1,5 +1,4 @@
-// Tier-1 suite for the serving runtime (src/serve/) and the adaptive
-// cohort handoff budget (src/core/cohort.hpp AdaptiveBudget):
+// Tier-1 suite for the serving runtime (src/serve/):
 //  * ShardPlacement / NumaShardedMap — shard→node mapping total and stable
 //    across simulated 1/2/4-node topologies, batch grouping is a partition,
 //    routed operations agree with direct ones;
@@ -7,9 +6,6 @@
 //  * WorkerPool — work lands on the pool of the node it was submitted to,
 //    with tids the topology maps to that node; graceful shutdown drains
 //    queued items and refuses later submissions;
-//  * AdaptiveBudget — clamped to [kMin, kMax], widens on exhaustion,
-//    narrows on preemption, converges under scripted traces; the preempt
-//    path decrements the live lock's budget and counts the abort;
 //  * KvServer — end-to-end correctness, node-local routing observed in the
 //    per-node stats, shutdown completes in-flight requests.
 #include <gtest/gtest.h>
@@ -237,160 +233,6 @@ TEST(WorkerPool, ClampsWidthToTheNarrowestNode) {
   pool.shutdown();
 }
 
-// ---- adaptive budget --------------------------------------------------------
-
-TEST(AdaptiveBudget, ClampsWidensNarrowsAndConverges) {
-  EXPECT_EQ(AdaptiveBudget(-5).budget(), AdaptiveBudget::kMin);
-  EXPECT_EQ(AdaptiveBudget(1000).budget(), AdaptiveBudget::kMax);
-
-  AdaptiveBudget b(8);
-  b.on_batch_end(/*exhausted=*/true, /*preempted=*/false);
-  EXPECT_EQ(b.budget(), 16);
-  b.on_batch_end(false, /*preempted=*/true);
-  EXPECT_EQ(b.budget(), 8);
-  b.on_batch_end(false, false);  // drained batch: no signal, no change
-  EXPECT_EQ(b.budget(), 8);
-
-  // Scripted traces converge to the rails and stay inside [kMin, kMax].
-  for (int i = 0; i < 20; ++i) {
-    b.on_batch_end(true, false);
-    ASSERT_GE(b.budget(), AdaptiveBudget::kMin);
-    ASSERT_LE(b.budget(), AdaptiveBudget::kMax);
-  }
-  EXPECT_EQ(b.budget(), AdaptiveBudget::kMax);
-  for (int i = 0; i < 20; ++i) {
-    b.on_batch_end(false, true);
-    ASSERT_GE(b.budget(), AdaptiveBudget::kMin);
-    ASSERT_LE(b.budget(), AdaptiveBudget::kMax);
-  }
-  EXPECT_EQ(b.budget(), AdaptiveBudget::kMin);
-  // A 1:1 exhaust/preempt mix oscillates in place instead of drifting.
-  AdaptiveBudget mix(8);
-  for (int i = 0; i < 50; ++i) {
-    mix.on_batch_end(true, false);
-    mix.on_batch_end(false, true);
-  }
-  EXPECT_EQ(mix.budget(), 8);
-}
-
-TEST(AdaptiveCohort, AccountingBalancesAndBudgetStaysInRange) {
-  constexpr int kEach = 40;
-  AdaptiveCohortStarvationFreeLock l(4, Topology::simulated(2, 4),
-                                     /*initial=*/2);
-  run_threads(2, [&](std::size_t t) {
-    for (int i = 0; i < kEach; ++i) {
-      l.write_lock(static_cast<int>(t));
-      l.write_unlock(static_cast<int>(t));
-    }
-  });
-  EXPECT_EQ(l.handoffs() + l.global_acquires(),
-            static_cast<std::uint64_t>(2 * kEach));
-  for (int d = 0; d < l.node_count(); ++d) {
-    EXPECT_GE(l.current_budget(d), AdaptiveBudget::kMin);
-    EXPECT_LE(l.current_budget(d), AdaptiveBudget::kMax);
-  }
-}
-
-TEST(AdaptiveCohort, ReaderPreemptionEndsBatchCountsAbortAndNarrowsBudget) {
-  // tids 0/1 share node 0 of 2x4; tid 2 is a reader on the same node.
-  // Writer 0 holds the CS, writer 1 queues behind it, and the reader
-  // arrives (gate up -> diverts into the wrapped lock, raising the
-  // advisory flag).  Writer 0's release must then end the batch: no
-  // handoff, one preempt abort, budget halved from 8 to 4.
-  AdaptiveCohortStarvationFreeLock l(4, Topology::simulated(2, 4),
-                                     /*initial=*/8);
-  std::atomic<bool> holding{false};
-  run_threads(3, [&](std::size_t t) {
-    if (t == 0) {
-      l.write_lock(0);
-      holding.store(true);
-      // Release only once both the successor writer and the diverted
-      // reader are *provably* visible (only this unlock consumes the
-      // advisory flag, so the spin is deterministic, not a grace window).
-      spin_until<YieldSpin>([&] { return l.writers_queued(0) == 2; });
-      spin_until<YieldSpin>([&] { return l.reader_waiting(); });
-      l.write_unlock(0);
-    } else if (t == 1) {
-      spin_until<YieldSpin>([&] { return holding.load(); });
-      l.write_lock(1);
-      l.write_unlock(1);
-    } else {
-      spin_until<YieldSpin>([&] { return holding.load(); });
-      l.read_lock(2);
-      l.read_unlock(2);
-    }
-  });
-  EXPECT_EQ(l.preempt_aborts(), 1u);
-  EXPECT_EQ(l.handoffs(), 0u);
-  EXPECT_EQ(l.global_acquires(), 2u);
-  EXPECT_EQ(l.current_budget(0), 4);
-}
-
-TEST(AdaptiveCohort, StaleReaderFlagDoesNotPhantomPreemptTheNextBatch) {
-  // A batch that ends *exhausted* while a diverted reader waits must not
-  // leave the advisory flag armed: the release admits that reader, and a
-  // carried-over flag would be mis-attributed as a fresh preemption by
-  // the next batch's first release (phantom abort, spuriously halved
-  // budget).  Choreography on node 0 of 2x4 (tids 0..3), reader on node 1
-  // (tid 4), initial budget 1:
-  //   w0 -> w1 handoff (batch = budget), reader raises the flag during
-  //   w1's hold, w1's release ends the batch EXHAUSTED (budget doubles to
-  //   2, flag must be cleared); then w2 -> w3 must be a clean handoff —
-  //   not a phantom preempt abort.
-  AdaptiveCohortStarvationFreeLock l(5, Topology::simulated(2, 4),
-                                     /*initial=*/1);
-  std::atomic<bool> h0{false}, h1{false}, h2{false};
-  run_threads(5, [&](std::size_t t) {
-    switch (t) {
-      case 0:
-        l.write_lock(0);
-        h0.store(true);
-        spin_until<YieldSpin>([&] { return l.writers_queued(0) == 2; });
-        l.write_unlock(0);  // handoff to w1: batch reaches the budget
-        break;
-      case 1:
-        spin_until<YieldSpin>([&] { return h0.load(); });
-        l.write_lock(1);
-        h1.store(true);
-        spin_until<YieldSpin>([&] {
-          return l.reader_waiting() && l.writers_queued(0) == 2;
-        });
-        l.write_unlock(1);  // exhausted end with the flag raised
-        break;
-      case 2:
-        spin_until<YieldSpin>([&] { return h1.load(); });
-        l.write_lock(2);
-        h2.store(true);
-        spin_until<YieldSpin>([&] { return l.writers_queued(0) == 2; });
-        l.write_unlock(2);  // must hand off to w3, not phantom-preempt
-        break;
-      case 3:
-        spin_until<YieldSpin>([&] { return h2.load(); });
-        l.write_lock(3);
-        l.write_unlock(3);
-        break;
-      default:  // reader: diverts during w1's hold, raising the flag
-        spin_until<YieldSpin>([&] { return h1.load(); });
-        l.read_lock(4);
-        l.read_unlock(4);
-        break;
-    }
-  });
-  EXPECT_EQ(l.preempt_aborts(), 0u) << "stale flag phantom-preempted";
-  EXPECT_EQ(l.handoffs(), 2u);         // w0->w1 and w2->w3
-  EXPECT_EQ(l.global_acquires(), 2u);  // w0 and w2 leaders only
-  EXPECT_EQ(l.current_budget(0), 2);   // doubled once, never halved
-}
-
-TEST(FixedBudgetCohort, PreemptAbortsAreCountedButBudgetIsConstant) {
-  CohortStarvationFreeLock l(4, Topology::simulated(2, 4), /*budget=*/8);
-  EXPECT_EQ(l.current_budget(0), 8);
-  EXPECT_EQ(l.preempt_aborts(), 0u);
-  l.write_lock(0);
-  l.write_unlock(0);
-  EXPECT_EQ(l.current_budget(0), 8);
-}
-
 // ---- KvServer ---------------------------------------------------------------
 
 template <class Lock>
@@ -431,7 +273,7 @@ void roundtrip_trial(bool node_local) {
 TEST(KvServer, RoundtripsUnderBothDispatchArms) {
   roundtrip_trial<CohortWriterPriorityLock>(true);
   roundtrip_trial<CohortWriterPriorityLock>(false);
-  roundtrip_trial<AdaptiveCohortStarvationFreeLock>(true);
+  roundtrip_trial<CohortStarvationFreeLock>(true);
   roundtrip_trial<WriterPriorityLock>(true);  // non-cohort locks serve too
 }
 
@@ -624,7 +466,7 @@ TEST(KvServer, RequestObjectIsReusableAcrossSubmits) {
 
 TEST(KvServer, ConcurrentClientsKeepAggregatesConsistent) {
   const Topology topo = Topology::simulated(2, 4);
-  KvServer<AdaptiveCohortStarvationFreeLock> server(
+  KvServer<CohortStarvationFreeLock> server(
       topo, ServeConfig{}.with_workers(2));
 
   constexpr int kClients = 4;

@@ -275,7 +275,7 @@ TEST(TopologySysfs, WorkerPoolOnMemoryOnlyNodeDoesNotHang) {
   serve::WorkerPool<int> epool(
       *t,
       serve::ServeConfig{}.with_widths(1, 2).with_pin(false).with_park(
-          serve::ParkPolicy::kFutex, /*grace_ns=*/1'000),
+          /*grace_ns=*/1'000),
       [](int, int, int*, std::size_t) {});
   EXPECT_EQ(epool.workers_in_node(0), 2);
   EXPECT_EQ(epool.workers_in_node(1), 0);
