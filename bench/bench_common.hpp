@@ -22,8 +22,12 @@
 namespace bjrw::bench {
 
 // Command-line-tunable parameters shared by every bench.  Benches with an
-// intrinsic sweep shape (e.g. thread-count scans) may ignore `threads`;
-// wall-clock benches scale their per-thread iteration budget by `seconds`.
+// intrinsic sweep shape (e.g. thread-count scans) may ignore `threads`.
+// `seconds` is an op-count scale, not a duration: benches multiply their
+// per-thread iteration counts by seconds / 0.5 (scaled_iters), so the wall
+// time of a run depends on the host, and --seconds=10 is twenty times the
+// default work, not a ten-second run.  The name is kept because recorded
+// JSON headers and the CI recipes carry it.
 struct BenchParams {
   int threads = 8;
   double seconds = 0.5;
@@ -70,9 +74,9 @@ class BenchContext {
 
   const std::deque<BenchRow>& rows() const { return rows_; }
 
-  // Scales a baseline iteration count by the --seconds budget (relative to
-  // the 0.5 s default), clamped to [1, INT_MAX] so extreme budgets cannot
-  // overflow the cast.
+  // Scales a baseline iteration count by the --seconds op-count scale
+  // (relative to the 0.5 default), clamped to [1, INT_MAX] so extreme
+  // scales cannot overflow the cast.
   int scaled_iters(int base) const {
     const double scaled = static_cast<double>(base) * params_.seconds / 0.5;
     if (!(scaled >= 1.0)) return 1;  // also catches NaN

@@ -3,6 +3,10 @@
 //   bench_main [--list] [--bench=<regex>] [--threads=N] [--seconds=S]
 //              [--seed=K] [--json=<path>]
 //
+// --seconds scales op counts (BenchContext::scaled_iters), not wall time:
+// --seconds=10 runs twenty times the default iterations, however long
+// that takes on the host.
+//
 // Each selected bench prints its human-readable tables to stdout exactly as
 // the former standalone binaries did, and additionally reports structured
 // result rows (throughput, latency percentiles, RMR counts) which --json
@@ -48,7 +52,9 @@ struct Options {
       "  --list            print registered benches and exit\n"
       "  --bench=<regex>   run benches whose name matches (default: all)\n"
       "  --threads=N       thread count for tunable benches (default 8)\n"
-      "  --seconds=S       per-bench time budget scale (default 0.5)\n"
+      "  --seconds=S       op-count scale, not a duration: every bench's\n"
+      "                    iteration counts are multiplied by S / 0.5\n"
+      "                    (default 0.5); wall time follows the host\n"
       "  --seed=K          workload PRNG seed (default 42)\n"
       "  --pin             pin workload threads round-robin over the\n"
       "                    detected topology (stamped into the machine\n"

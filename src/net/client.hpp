@@ -4,19 +4,28 @@
 // (loadgen.hpp) and the loopback tests are the two consumers; neither needs
 // an async reactor on the client side.
 //
-// Resilience (DESIGN.md §14): the socket is nonblocking and every wait goes
-// through poll(2) with a per-op budget (ClientConfig::op_timeout_ms), so a
-// hung or stalled server surfaces as a typed kTimeout instead of a
-// wedged-forever recv loop.  A transport failure mid-frame leaves the
-// stream unsynchronizable, so the client closes the socket and reports why
-// (last_error()).  One function, settle(), decides every op's fate under a
-// jittered exponential-backoff RetryPolicy that honors the server's
-// refusal semantics — kShed backs off fully, kQueueFull retries sooner,
-// kDeadline gives up — and reconnects after resets (every current op is
-// idempotent, so a resend after an ambiguous failure is safe).  The
-// synchronous conveniences and the loadgen's pipelines both call it.  All
-// I/O rides the transport_read/transport_send seam (src/harness/fault.hpp):
-// sends carry MSG_NOSIGNAL, and tests splice deterministic faults in.
+// Waiting for a response follows the serving threads' IdlePolicy
+// (src/harness/idle.hpp): on an empty socket the client keeps re-probing
+// the nonblocking read, yielding between probes, for park_grace_ns, and
+// only then blocks in poll(2).  A closed-loop caller's answer usually lands
+// within that grace, so it costs no sleep and no wake-up.  Reads land in a
+// per-client receive buffer, so a ready response (or several pipelined
+// ones) costs one read, not a poll plus a read per length prefix and body.
+//
+// Resilience (DESIGN.md §14): the socket is nonblocking and every wait —
+// spin probes included — is checked against a per-op budget
+// (ClientConfig::op_timeout_ms), so a hung or stalled server surfaces as a
+// typed kTimeout instead of a wedged-forever recv loop.  A transport
+// failure mid-frame leaves the stream unsynchronizable, so the client
+// closes the socket and reports why (last_error()).  One function,
+// settle(), decides every op's fate under a jittered exponential-backoff
+// RetryPolicy that honors the server's refusal semantics — kShed backs off
+// fully, kQueueFull retries sooner, kDeadline gives up — and reconnects
+// after resets (every current op is idempotent, so a resend after an
+// ambiguous failure is safe).  The synchronous conveniences and the
+// loadgen's pipelines both call it.  All I/O rides the
+// transport_read/transport_send seam (src/harness/fault.hpp): sends carry
+// MSG_NOSIGNAL, and tests splice deterministic faults in.
 #pragma once
 
 #if !defined(__linux__)
@@ -41,7 +50,9 @@
 #include <vector>
 
 #include "src/harness/fault.hpp"
+#include "src/harness/idle.hpp"
 #include "src/harness/prng.hpp"
+#include "src/harness/timing.hpp"
 #include "src/net/wire.hpp"
 
 namespace bjrw::net {
@@ -69,7 +80,7 @@ struct Response {
 // Why the transport last failed (sticky until the next successful op).
 enum class ClientError : std::uint8_t {
   kNone = 0,
-  kTimeout,   // op budget elapsed waiting on poll()
+  kTimeout,   // op budget elapsed waiting for the socket
   kClosed,    // EOF / ECONNRESET / EPIPE from the peer
   kProtocol,  // unparseable frame from a trusted server
 };
@@ -98,6 +109,10 @@ struct ClientConfig {
   // Relative deadline budget attached to every packed request (0 = none).
   // The server converts it to an absolute deadline on its clock.
   std::uint64_t deadline_budget_ns = 0;
+  // How long a wait for a response re-probes the socket, yielding between
+  // probes, before it blocks in poll(); 0 blocks at the first empty probe.
+  // The spin counts against op_timeout_ms.
+  std::uint64_t park_grace_ns = kDefaultParkGraceNs;
   RetryPolicy retry;
 };
 
@@ -130,7 +145,9 @@ class KvClient {
       cfg_ = other.cfg_;
       next_id_ = other.next_id_;
       out_ = std::move(other.out_);
-      rbuf_ = std::move(other.rbuf_);
+      in_ = std::move(other.in_);
+      in_head_ = other.in_head_;
+      in_tail_ = other.in_tail_;
       jitter_ = other.jitter_;
       last_error_ = other.last_error_;
       retries_ = other.retries_;
@@ -152,8 +169,7 @@ class KvClient {
   // stream state resets (nothing in flight survives a reconnect); request
   // ids keep counting up so responses never collide across connections.
   bool reconnect() {
-    close();
-    out_.clear();
+    drop_stream();
     const int fd = open_socket(port_);
     if (fd < 0) return false;
     fd_ = fd;
@@ -216,7 +232,7 @@ class KvClient {
         off += static_cast<std::size_t>(n);
         continue;
       }
-      if (!retry_io(n, POLLOUT, deadline)) return false;
+      if (!would_block(n) || !wait_io(POLLOUT, deadline)) return false;
     }
     return true;
   }
@@ -327,8 +343,8 @@ class KvClient {
       ::close(fd);
       return -1;
     }
-    // Nonblocking from here on: every wait goes through poll() so the
-    // per-op budget can interrupt it.
+    // Nonblocking from here on: every wait is a probe or a poll() the
+    // per-op budget can interrupt.
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     return fd;
@@ -339,7 +355,7 @@ class KvClient {
   // into the past.
   std::uint64_t op_deadline() const {
     if (cfg_.op_timeout_ms == 0) return 0;
-    const std::uint64_t now = steady_now_ns();
+    const std::uint64_t now = now_ns();
     const std::uint64_t kMax = ~std::uint64_t{0};
     if (cfg_.op_timeout_ms >= (kMax - now) / 1'000'000ULL) return kMax;
     return now + cfg_.op_timeout_ms * 1'000'000ULL;
@@ -359,22 +375,22 @@ class KvClient {
     if (ns != 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
   }
 
-  static std::uint64_t steady_now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+  // Classifies one failed transport return: true = the I/O would block
+  // and is worth waiting out; otherwise (EOF, reset, ...) records the
+  // error, closes, and returns false.  EINTR counts as would-block.
+  bool would_block(ssize_t n) {
+    if (n == 0) return fail(ClientError::kClosed);  // EOF mid-frame
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
+      return true;
+    return fail(ClientError::kClosed);  // ECONNRESET, EPIPE, ...
   }
 
-  // Classifies one failed transport return and, unless it was a would-
-  // block worth poll()ing through, records the error and closes.  True =
-  // the caller should retry the I/O now.
-  bool retry_io(ssize_t n, short events, std::uint64_t deadline) {
-    if (n == 0) return fail(ClientError::kClosed);  // EOF mid-frame
-    if (errno == EINTR) return true;
-    if (errno != EAGAIN && errno != EWOULDBLOCK)
-      return fail(ClientError::kClosed);  // ECONNRESET, EPIPE, ...
-    return wait_io(events, deadline);
+  // Fails the op kTimeout once `now` is past the op budget.
+  bool expired(std::uint64_t now, std::uint64_t deadline) {
+    if (deadline == 0 || now < deadline) return false;
+    timeouts_ += 1;
+    fail(ClientError::kTimeout);
+    return true;
   }
 
   // poll()s for readiness within the op budget.  False = timed out (or the
@@ -383,11 +399,8 @@ class KvClient {
     for (;;) {
       int timeout_ms = -1;
       if (deadline != 0) {
-        const std::uint64_t now = steady_now_ns();
-        if (now >= deadline) {
-          timeouts_ += 1;
-          return fail(ClientError::kTimeout);
-        }
+        const std::uint64_t now = now_ns();
+        if (expired(now, deadline)) return false;
         // Rounded up, so an expired poll lands past the deadline; clamped,
         // so a budget beyond INT_MAX ms polls in INT_MAX-ms slices.
         const std::uint64_t ms = (deadline - now) / 1'000'000ULL + 1;
@@ -403,9 +416,17 @@ class KvClient {
 
   bool fail(ClientError why) {
     last_error_ = why;
+    drop_stream();
+    return false;
+  }
+
+  // Closes the socket and forgets both directions of its stream: neither
+  // a half-sent request nor a half-read response survives into the next
+  // connection.
+  void drop_stream() {
     close();
     out_.clear();
-    return false;
+    in_head_ = in_tail_ = 0;
   }
 
   bool flush_by(std::uint64_t deadline) {
@@ -422,7 +443,7 @@ class KvClient {
         out_.consume(static_cast<std::size_t>(n));
         continue;
       }
-      if (!retry_io(n, POLLOUT, deadline)) return false;
+      if (!would_block(n) || !wait_io(POLLOUT, deadline)) return false;
     }
     return true;
   }
@@ -433,17 +454,20 @@ class KvClient {
       last_error_ = ClientError::kClosed;
       return false;
     }
-    std::uint8_t lenbuf[kFrameLenSize];
-    if (!read_exact(lenbuf, kFrameLenSize, deadline)) return false;
+    if (!buffer_at_least(kFrameLenSize, deadline)) return false;
+    const std::uint8_t* lenbuf = in_.data() + in_head_;
     const std::uint32_t flen = (static_cast<std::uint32_t>(lenbuf[0]) << 24) |
                                (static_cast<std::uint32_t>(lenbuf[1]) << 16) |
                                (static_cast<std::uint32_t>(lenbuf[2]) << 8) |
                                lenbuf[3];
     if (flen < kHeaderSize || flen > kDefaultMaxFrame)
       return fail(ClientError::kProtocol);
-    rbuf_.resize(flen);
-    if (!read_exact(rbuf_.data(), flen, deadline)) return false;
-    Unpacker u(rbuf_.data(), flen);
+    if (!buffer_at_least(kFrameLenSize + flen, deadline)) return false;
+    // The frame is consumed up front: whatever the parse below decides,
+    // the stream moves past it (a protocol failure drops the stream).
+    Unpacker u(in_.data() + in_head_ + kFrameLenSize, flen);
+    in_head_ += kFrameLenSize + flen;
+    if (in_head_ == in_tail_) in_head_ = in_tail_ = 0;
     MsgHeader h;
     ErrorCode err;
     if (!unpack_header(u, &h, &err)) return fail(ClientError::kProtocol);
@@ -507,19 +531,46 @@ class KvClient {
     return true;
   }
 
-  bool read_exact(std::uint8_t* dst, std::size_t len,
-                  std::uint64_t deadline) {
-    if (fd_ < 0) return false;
-    std::size_t off = 0;
-    while (off < len) {
-      const ssize_t n = transport_read(fd_, dst + off, len - off);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-        continue;
+  // Waits until at least `n` unparsed bytes sit in the receive buffer,
+  // compacting or growing it first when they would not fit.
+  bool buffer_at_least(std::size_t n, std::uint64_t deadline) {
+    while (in_tail_ - in_head_ < n) {
+      if (in_.size() - in_head_ < n) {
+        if (in_head_ > 0) {
+          std::memmove(in_.data(), in_.data() + in_head_,
+                       in_tail_ - in_head_);
+          in_tail_ -= in_head_;
+          in_head_ = 0;
+        }
+        if (in_.size() < n) in_.resize(n < kRecvChunk ? kRecvChunk : n);
       }
-      if (!retry_io(n, POLLIN, deadline)) return false;
+      if (!fill(deadline)) return false;
     }
     return true;
+  }
+
+  // One read into the buffer's free tail, waiting per the IdlePolicy: an
+  // empty probe is retried after a yield until the grace runs out, then
+  // poll() blocks for the rest of the op budget.  Every probe checks the
+  // budget, so spinning can never outlive it.
+  bool fill(std::uint64_t deadline) {
+    IdlePolicy idle(cfg_.park_grace_ns);
+    for (;;) {
+      const ssize_t n =
+          transport_read(fd_, in_.data() + in_tail_, in_.size() - in_tail_);
+      if (n > 0) {
+        in_tail_ += static_cast<std::size_t>(n);
+        return true;
+      }
+      if (!would_block(n)) return false;
+      const std::uint64_t now = now_ns();
+      if (expired(now, deadline)) return false;
+      if (idle.should_park(now)) {
+        if (!wait_io(POLLIN, deadline)) return false;
+      } else {
+        std::this_thread::yield();
+      }
+    }
   }
 
   // The convenience loop: submit-flush-recv until settle() is final.
@@ -555,7 +606,11 @@ class KvClient {
   ClientConfig cfg_;
   std::uint64_t next_id_ = 1;
   PackBuffer out_;
-  std::vector<std::uint8_t> rbuf_;
+  // Receive buffer: bytes [in_head_, in_tail_) arrived and are unparsed.
+  static constexpr std::size_t kRecvChunk = 16 * 1024;
+  std::vector<std::uint8_t> in_;
+  std::size_t in_head_ = 0;
+  std::size_t in_tail_ = 0;
   Xoshiro256 jitter_;
   ClientError last_error_ = ClientError::kNone;
   std::uint64_t retries_ = 0;

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "src/harness/fault.hpp"
+#include "src/harness/idle.hpp"
 #include "src/harness/timing.hpp"
 #include "src/net/wire.hpp"
 #include "src/serve/config.hpp"
@@ -232,27 +233,17 @@ class NetServer {
   // ---- the loop -------------------------------------------------------------
 
   void event_loop() {
-    // Idle policy of the worker pools (DESIGN.md §12): after the last
+    // The worker pools' IdlePolicy (src/harness/idle.hpp): after the last
     // round that made progress, keep polling with timeout 0 for the park
-    // grace, then block until an event or stop()'s wake_fd_ write.  The
-    // grace runs on the free now_ns(), never the injectable ClockSource, so
-    // a frozen VirtualClock cannot pin the loop in its spin phase.
-    const std::uint64_t grace_ns = kv_.config().park_grace_ns;
-    std::uint64_t idle_since = 0;  // 0: the last round made progress
+    // grace, then block until an event or stop()'s wake_fd_ write.
+    IdlePolicy idle(kv_.config().park_grace_ns);
     std::vector<epoll_event> events(64);
     for (;;) {
       const bool busy = total_in_flight_ > 0;
       if (stopping_.load(std::memory_order_acquire) && quiescent()) break;
-      bool park = false;
-      if (!busy && !stopping_.load(std::memory_order_relaxed)) {
-        const std::uint64_t t = now_ns();
-        if (idle_since == 0) {
-          idle_since = t;
-        } else if (t - idle_since >= grace_ns) {
-          park = true;
-          loop_parks_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+      const bool park = !busy && !stopping_.load(std::memory_order_relaxed) &&
+                        idle.should_park(now_ns());
+      if (park) loop_parks_.fetch_add(1, std::memory_order_relaxed);
       const int n = ::epoll_wait(epoll_fd_, events.data(),
                                  static_cast<int>(events.size()),
                                  park ? -1 : 0);
@@ -272,7 +263,7 @@ class NetServer {
       }
       progressed |= sweep_completions();
       reap_closed();
-      if (progressed || park) idle_since = 0;  // fresh grace after a wake
+      if (progressed || park) idle.progressed();  // fresh grace after a wake
       // Single-core friendliness: a round that achieved nothing yields, so
       // the pinned workers that will resolve pending latches (or the peer
       // about to send) actually get the CPU.

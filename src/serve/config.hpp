@@ -22,11 +22,18 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/harness/idle.hpp"
+
 namespace bjrw {
 class ClockSource;  // src/harness/timing.hpp
 }
 
 namespace bjrw::serve {
+
+// The largest queue capacity: the ring rounds its capacity up to a power
+// of two, which overflows past the largest one a size_t holds.
+inline constexpr std::size_t kMaxQueueCapacity =
+    std::numeric_limits<std::size_t>::max() / 2 + 1;
 
 struct ServeConfig {
   // ---- placement / map ------------------------------------------------------
@@ -50,14 +57,12 @@ struct ServeConfig {
   std::size_t burst = 1;
 
   // ---- elasticity (DESIGN.md §12) -------------------------------------------
-  // How long an idle serving thread keeps polling before it blocks: a
-  // worker beyond min_width on an empty queue (futex park), and the
-  // NetServer event loop (DESIGN.md §10) with nothing in flight since its
-  // last progress (epoll_wait with no timeout).  Too short puts a wake-up
-  // back on closed-loop round trips and thrashes the futex under bursty
-  // arrivals; too long keeps idle spinners hot.  100us ≈ a few thousand
-  // failed polls.
-  std::uint64_t park_grace_ns = 100'000;
+  // How long an idle serving thread keeps polling before it blocks
+  // (IdlePolicy, src/harness/idle.hpp): a worker beyond min_width on an
+  // empty queue (futex park), and the NetServer event loop (DESIGN.md §10)
+  // with nothing in flight since its last progress (epoll_wait with no
+  // timeout).  Too short also thrashes the futex under bursty arrivals.
+  std::uint64_t park_grace_ns = kDefaultParkGraceNs;
 
   // ---- admission (DESIGN.md §12) --------------------------------------------
   // Per-node token bucket charged per key (batched gets) / per op (point
@@ -215,12 +220,8 @@ struct ServeConfig {
   }
 
  private:
-  // The ring rounds its capacity up to a power of two, which overflows
-  // past the largest one a size_t holds.
   static void check_capacity(std::size_t cap) {
-    constexpr std::size_t kMax =
-        std::numeric_limits<std::size_t>::max() / 2 + 1;
-    if (cap < 2 || cap > kMax)
+    if (cap < 2 || cap > kMaxQueueCapacity)
       fail("queue_capacity must be in [2, the largest power of two]");
   }
   // A run longer than the ring can never be claimed, and each worker

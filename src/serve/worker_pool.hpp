@@ -40,13 +40,16 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "src/harness/idle.hpp"
 #include "src/harness/spin.hpp"
 #include "src/harness/timing.hpp"
 #include "src/harness/topology.hpp"
@@ -57,13 +60,17 @@
 namespace bjrw::serve {
 
 // Vyukov bounded MPMC queue.  Capacity is rounded up to a power of two
-// (minimum 2) so cell addressing is a mask, not a division.
+// (minimum 2) so cell addressing is a mask, not a division; a capacity
+// above kMaxQueueCapacity has no such power and throws
+// std::invalid_argument.
 template <class T>
 class BoundedMpmcQueue {
  public:
   explicit BoundedMpmcQueue(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
+    if (capacity > kMaxQueueCapacity)
+      throw std::invalid_argument(
+          "BoundedMpmcQueue: capacity above the largest power of two");
+    const std::size_t cap = std::bit_ceil(capacity < 2 ? 2 : capacity);
     mask_ = cap - 1;
     cells_ = std::make_unique<Cell[]>(cap);
     for (std::size_t i = 0; i < cap; ++i)
@@ -420,7 +427,7 @@ class WorkerPool {
     // park, so a fixed-width pool is all spinners.
     const bool may_park = w >= min_width_;
     std::vector<Item> batch(burst_);
-    std::uint64_t idle_since = 0;  // 0: queue was non-empty at last poll
+    IdlePolicy idle(grace_ns_);
     std::uint32_t polls_since_maint = 0;
     for (;;) {
       const std::size_t k = n.queue->try_pop_bulk(batch.data(), burst_);
@@ -428,7 +435,7 @@ class WorkerPool {
         handler_(tid, d, batch.data(), k);
         n.executed.fetch_add(k, std::memory_order_relaxed);
         n.bursts.fetch_add(1, std::memory_order_relaxed);
-        idle_since = 0;
+        idle.progressed();
         maintenance_stride(tid, d, &polls_since_maint);
         continue;
       }
@@ -457,18 +464,13 @@ class WorkerPool {
         // The lane did work: treat it like a non-empty poll so an elastic
         // worker does not park mid-sweep.  (Skipped once stopping: a
         // steady maintenance trickle must not stall the shutdown drain.)
-        idle_since = 0;
+        idle.progressed();
         continue;
       }
-      if (may_park) {
-        const std::uint64_t t = now_ns();
-        if (idle_since == 0) {
-          idle_since = t;
-        } else if (t - idle_since >= grace_ns_) {
-          park(n);
-          idle_since = 0;  // a fresh grace period after every wake
-          continue;
-        }
+      if (may_park && idle.should_park(now_ns())) {
+        park(n);
+        idle.progressed();  // a fresh grace period after every wake
+        continue;
       }
       YieldSpin::relax();
     }
@@ -534,7 +536,7 @@ class WorkerPool {
   int workers_per_node_ = 1;  // spawned (elastic ceiling) after CPU clamp
   int min_width_ = 1;         // committed floor: these never park
   std::size_t burst_ = 1;
-  std::uint64_t grace_ns_ = 100'000;
+  std::uint64_t grace_ns_ = kDefaultParkGraceNs;
   std::vector<int> node_base_;  // node -> first logical CPU index (pool tid)
   std::vector<int> route_;      // node -> nearest CPU-bearing node (or self)
   std::unique_ptr<NodeState[]> nodes_;

@@ -1,5 +1,5 @@
 // Unit tests for the harness substrate: stats, PRNG, workload generation,
-// thread coordination, table output.
+// thread coordination, table output, the idle policy.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/harness/idle.hpp"
 #include "src/harness/prng.hpp"
 #include "src/harness/stats.hpp"
 #include "src/harness/table.hpp"
@@ -245,6 +246,42 @@ TEST(Timing, StopwatchMonotone) {
   for (std::uint64_t i = 0; i < 1000; ++i) sink = sink + i;
   EXPECT_GE(sw.elapsed_ns(), 0u);
   EXPECT_GE(sw.elapsed_s(), 0.0);
+}
+
+// IdlePolicy is fed timestamps, so these cases inject them: no sleeps, no
+// clock.  The first idle probe stamps the start of the grace.
+
+TEST(IdlePolicy, DoesNotParkBeforeTheGrace) {
+  IdlePolicy idle(100);
+  EXPECT_FALSE(idle.should_park(1'000));
+  EXPECT_FALSE(idle.should_park(1'050));
+  EXPECT_FALSE(idle.should_park(1'099));
+}
+
+TEST(IdlePolicy, ParksOnceTheGraceHasPassed) {
+  IdlePolicy idle(100);
+  EXPECT_FALSE(idle.should_park(1'000));
+  EXPECT_TRUE(idle.should_park(1'100));
+  EXPECT_TRUE(idle.should_park(5'000));  // stays parked-worthy until progress
+}
+
+TEST(IdlePolicy, ProgressStartsAFreshGrace) {
+  IdlePolicy idle(100);
+  EXPECT_FALSE(idle.should_park(1'000));
+  EXPECT_TRUE(idle.should_park(1'200));
+  idle.progressed();
+  // The grace restarts at the first idle probe after the progress, not at
+  // the earlier idle stretch.
+  EXPECT_FALSE(idle.should_park(1'300));
+  EXPECT_FALSE(idle.should_park(1'399));
+  EXPECT_TRUE(idle.should_park(1'400));
+}
+
+TEST(IdlePolicy, ZeroGraceParksAtTheFirstEmptyProbe) {
+  IdlePolicy idle(0);
+  EXPECT_TRUE(idle.should_park(0));
+  idle.progressed();
+  EXPECT_TRUE(idle.should_park(7));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 // The CI stress matrix also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -362,6 +363,36 @@ bool read_all(int fd, std::uint8_t* p, std::size_t n) {
   return true;
 }
 
+// A raw peer on its own thread: accepts one connection, reads one request
+// frame, sends whatever `answer(b, request_id)` packs into b, then holds
+// the connection until the client closes it, so an EOF can never stand in
+// for the client's verdict on the answer.
+template <class Answer>
+std::thread answer_one_request(int lfd, Answer answer) {
+  return std::thread([lfd, answer] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    std::uint8_t len[kFrameLenSize];
+    std::vector<std::uint8_t> frame;
+    MsgHeader h;
+    ErrorCode err;
+    if (read_all(fd, len, sizeof len)) {
+      frame.resize((std::size_t{len[0]} << 24) | (std::size_t{len[1]} << 16) |
+                   (std::size_t{len[2]} << 8) | len[3]);
+      Unpacker u(frame.data(), frame.size());
+      if (read_all(fd, frame.data(), frame.size()) &&
+          unpack_header(u, &h, &err)) {
+        PackBuffer b;
+        answer(b, h.request_id);
+        [[maybe_unused]] const ssize_t n = ::send(fd, b.data(), b.size(), 0);
+      }
+    }
+    std::uint8_t sink;
+    [[maybe_unused]] const ssize_t r = ::recv(fd, &sink, 1, 0);
+    ::close(fd);
+  });
+}
+
 TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
   // A listening socket whose backlog accepts the TCP handshake but which
   // never reads or answers: before per-op timeouts, KvClient::get blocked
@@ -390,6 +421,83 @@ TEST(NetFault, HungServerCostsTheOpBudgetNotForever) {
   ::close(lfd);
 }
 
+TEST(NetFault, SpinningOnAHungServerCannotOutliveTheOpBudget) {
+  // The wait for a response spins for park_grace_ns before it parks, and
+  // every probe checks the op budget.  Against a peer that never answers,
+  // a 5 ms op must fail kTimeout within the existing bound whatever the
+  // grace — including a grace longer than that bound, which a spin that
+  // ignored the budget would sit out.
+  std::uint16_t port = 0;
+  const int lfd = listen_loopback(&port);
+  ASSERT_GE(lfd, 0);
+  for (const std::uint64_t grace_ns : {50'000'000ULL, 10'000'000'000ULL}) {
+    ClientConfig cfg;
+    cfg.op_timeout_ms = 5;
+    cfg.park_grace_ns = grace_ns;
+    cfg.retry.max_attempts = 1;
+    cfg.retry.reconnect = false;
+    auto c = KvClient::connect(port, cfg);
+    ASSERT_TRUE(c.has_value());
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(c->get(1).has_value());
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(c->last_error(), ClientError::kTimeout) << grace_ns;
+    EXPECT_EQ(c->timeouts(), 1u);
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                  .count(),
+              5'000)
+        << grace_ns;
+  }
+  ::close(lfd);
+}
+
+// CPU time the calling thread has used so far, in microseconds.
+std::uint64_t thread_cpu_us() {
+  rusage ru{};
+  ::getrusage(RUSAGE_THREAD, &ru);
+  const auto us = [](const timeval& tv) {
+    return static_cast<std::uint64_t>(tv.tv_sec) * 1'000'000ULL +
+           static_cast<std::uint64_t>(tv.tv_usec);
+  };
+  return us(ru.ru_utime) + us(ru.ru_stime);
+}
+
+constexpr auto kSlowAnswer = std::chrono::milliseconds(30);
+
+TEST(NetFault, ClientParksOnASlowAnswerInsteadOfSpinning) {
+  // A raw peer answers one get 30 ms after reading it.  With the default
+  // 100 us grace the client spins briefly and then blocks in poll(), so
+  // the CPU its thread burns over the wait stays far below the wait.  A
+  // client that spun until the answer would burn about the whole 30 ms.
+  std::uint16_t port = 0;
+  const int lfd = listen_loopback(&port);
+  ASSERT_GE(lfd, 0);
+  std::thread peer =
+      answer_one_request(lfd, [](PackBuffer& b, std::uint64_t id) {
+        std::this_thread::sleep_for(kSlowAnswer);
+        pack_get_resp(b, id, /*found=*/true, /*value=*/77);
+      });
+
+  ClientConfig cfg;
+  cfg.op_timeout_ms = 5'000;
+  cfg.retry.max_attempts = 1;
+  cfg.retry.reconnect = false;
+  auto c = KvClient::connect(port, cfg);
+  ASSERT_TRUE(c.has_value());
+  const std::uint64_t cpu0 = thread_cpu_us();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(c->get(5).value_or(0), 77u);
+  const auto wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  const std::uint64_t cpu_us = thread_cpu_us() - cpu0;
+  EXPECT_GE(wall_us, 30'000);
+  EXPECT_LT(cpu_us, 10'000u) << "wall " << wall_us << " us";
+  c.reset();  // our close ends the peer's final recv
+  peer.join();
+  ::close(lfd);
+}
+
 TEST(NetFault, UndefinedStatusByteIsAProtocolError) {
   // The status byte of a data response is peer input.  A raw peer answers
   // one get with a well-formed kGetResp frame whose status is 9, a value
@@ -398,31 +506,11 @@ TEST(NetFault, UndefinedStatusByteIsAProtocolError) {
   std::uint16_t port = 0;
   const int lfd = listen_loopback(&port);
   ASSERT_GE(lfd, 0);
-  std::thread peer([lfd] {
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) return;
-    std::uint8_t len[kFrameLenSize];
-    std::vector<std::uint8_t> frame;
-    MsgHeader h;
-    ErrorCode err;
-    if (read_all(fd, len, sizeof len)) {
-      frame.resize((std::size_t{len[0]} << 24) | (std::size_t{len[1]} << 16) |
-                   (std::size_t{len[2]} << 8) | len[3]);
-      Unpacker u(frame.data(), frame.size());
-      if (read_all(fd, frame.data(), frame.size()) &&
-          unpack_header(u, &h, &err)) {
-        PackBuffer b;
-        pack_status_resp(b, MsgType::kGetResp, h.request_id,
+  std::thread peer =
+      answer_one_request(lfd, [](PackBuffer& b, std::uint64_t id) {
+        pack_status_resp(b, MsgType::kGetResp, id,
                          static_cast<WireStatus>(9));
-        [[maybe_unused]] const ssize_t n = ::send(fd, b.data(), b.size(), 0);
-      }
-    }
-    // Hold the connection until the client has judged the frame, so an
-    // EOF cannot stand in for the verdict.
-    std::uint8_t sink;
-    [[maybe_unused]] const ssize_t r = ::recv(fd, &sink, 1, 0);
-    ::close(fd);
-  });
+      });
 
   ClientConfig cfg;
   cfg.op_timeout_ms = 5'000;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -33,6 +34,7 @@ namespace {
 
 using serve::AdmitResult;
 using serve::BoundedMpmcQueue;
+using serve::kMaxQueueCapacity;
 using serve::KvServer;
 using serve::NumaShardedMap;
 using serve::Request;
@@ -128,6 +130,16 @@ TEST(NumaShardedMap, RoutedOperationsAgreeWithDirectSubMapState) {
 }
 
 // ---- bounded MPMC queue -----------------------------------------------------
+
+TEST(BoundedMpmcQueue, CapacityAboveTheLargestPowerOfTwoThrows) {
+  // Constructed directly, without ServeConfig's gate in front: the round-up
+  // to a power of two has no answer past 2^63, and the constructor must
+  // refuse such a capacity rather than loop or wrap.
+  EXPECT_THROW(BoundedMpmcQueue<int>{SIZE_MAX}, std::invalid_argument);
+  EXPECT_THROW(BoundedMpmcQueue<int>{kMaxQueueCapacity + 1},
+               std::invalid_argument);
+  EXPECT_EQ(kMaxQueueCapacity, std::size_t{1} << 63);
+}
 
 TEST(BoundedMpmcQueue, FifoBoundedAndEdgeConditions) {
   BoundedMpmcQueue<int> q(/*capacity=*/5);  // rounds up to 8
