@@ -22,10 +22,10 @@
 
 namespace bjrw {
 
-// How long an idle thread keeps probing before it blocks, shared by
-// ServeConfig::park_grace_ns and ClientConfig::park_grace_ns.  Too short
-// puts a wake-up back on every closed-loop round trip; too long keeps idle
-// spinners hot.  100us is a few thousand failed probes.
+// How long an idle thread keeps probing before it blocks: the default of
+// ServeConfig::park_grace_ns and the fixed grace of a KvClient's wait.
+// Too short puts a wake-up back on every closed-loop round trip; too long
+// keeps idle spinners hot.  100us is a few thousand failed probes.
 inline constexpr std::uint64_t kDefaultParkGraceNs = 100'000;
 
 class IdlePolicy {
@@ -39,8 +39,7 @@ class IdlePolicy {
 
   // Called after a probe that found nothing, with the current time: true
   // once `grace_ns` has passed since the first such probe after the last
-  // progress.  The first idle probe stamps the start, so a grace of 0
-  // parks at the first empty probe.
+  // progress.  The first idle probe stamps the start.
   bool should_park(std::uint64_t now_ns) {
     if (!idle_) {
       idle_ = true;

@@ -6,8 +6,8 @@
 //
 // Waiting for a response follows the serving threads' IdlePolicy
 // (src/harness/idle.hpp): on an empty socket the client keeps re-probing
-// the nonblocking read, yielding between probes, for park_grace_ns, and
-// only then blocks in poll(2).  A closed-loop caller's answer usually lands
+// the nonblocking read, yielding between probes, for kDefaultParkGraceNs
+// (the serving threads' default grace), and only then blocks in poll(2).  A closed-loop caller's answer usually lands
 // within that grace, so it costs no sleep and no wake-up.  Reads land in a
 // per-client receive buffer, so a ready response (or several pipelined
 // ones) costs one read, not a poll plus a read per length prefix and body.
@@ -109,10 +109,6 @@ struct ClientConfig {
   // Relative deadline budget attached to every packed request (0 = none).
   // The server converts it to an absolute deadline on its clock.
   std::uint64_t deadline_budget_ns = 0;
-  // How long a wait for a response re-probes the socket, yielding between
-  // probes, before it blocks in poll(); 0 blocks at the first empty probe.
-  // The spin counts against op_timeout_ms.
-  std::uint64_t park_grace_ns = kDefaultParkGraceNs;
   RetryPolicy retry;
 };
 
@@ -554,7 +550,7 @@ class KvClient {
   // poll() blocks for the rest of the op budget.  Every probe checks the
   // budget, so spinning can never outlive it.
   bool fill(std::uint64_t deadline) {
-    IdlePolicy idle(cfg_.park_grace_ns);
+    IdlePolicy idle(kDefaultParkGraceNs);
     for (;;) {
       const ssize_t n =
           transport_read(fd_, in_.data() + in_tail_, in_.size() - in_tail_);

@@ -177,15 +177,19 @@ TEST(BigReader, WriterDrainsEveryReaderSlot) {
 
 TEST(BigReader, ReaderStandsDownForActiveWriter) {
   BigReaderLock<> l(2);
+  std::atomic<bool> writer_holds{false};
   std::atomic<bool> reader_in{false};
   run_threads(2, [&](std::size_t tid) {
     if (tid == 0) {
       l.write_lock(0);
+      writer_holds.store(true);
       for (int i = 0; i < 200; ++i) std::this_thread::yield();
       EXPECT_FALSE(reader_in.load());
       l.write_unlock(0);
     } else {
-      for (int i = 0; i < 30; ++i) std::this_thread::yield();
+      // Arrive only once the writer is inside, however the two threads
+      // are scheduled: a reader that got in first would be legal.
+      spin_until<YieldSpin>([&] { return writer_holds.load(); });
       l.read_lock(1);
       reader_in.store(true);
       l.read_unlock(1);

@@ -277,12 +277,5 @@ TEST(IdlePolicy, ProgressStartsAFreshGrace) {
   EXPECT_TRUE(idle.should_park(1'400));
 }
 
-TEST(IdlePolicy, ZeroGraceParksAtTheFirstEmptyProbe) {
-  IdlePolicy idle(0);
-  EXPECT_TRUE(idle.should_park(0));
-  idle.progressed();
-  EXPECT_TRUE(idle.should_park(7));
-}
-
 }  // namespace
 }  // namespace bjrw
