@@ -1,19 +1,16 @@
 // E22 (DESIGN.md §13): the lease/TTL expiry subsystem, measured — read
-// latency under expiry storms, with the sweep's batching as the variable
-// and the shard lock as the column:
+// latency under expiry storms, with the shard lock as the column:
 //
 //   off             the identical op mix with the TTL coin unarmed: no
 //                   leases, no sweeps.  The read p50/p99 floor.
-//   storm_batched   every put carries a ~2ms lease (sweep_batch=128): the
-//                   sweeper folds due leases into few compare-and-erase
-//                   write epochs per node.
-//   storm_per_item  the same storm with sweep_batch=1 — one write-lock
-//                   epoch per expired key.  The p99 gap against the
-//                   batched arm prices the sweep's lock traffic, which is
-//                   exactly what the per-shard reader-writer lock choice
-//                   modulates: the writer-preference cohort lock lets the
-//                   sweep's deletes barge ahead of the read flood, the
-//                   phase-fair baseline alternates them.
+//   storm_batched   every put carries a ~2ms lease: the sweeper folds due
+//                   leases into few compare-and-erase write epochs per
+//                   node (expiry::kSweepBatch per batch).  The p99 gap
+//                   against `off` prices the sweep's lock traffic, which
+//                   is exactly what the per-shard reader-writer lock
+//                   choice modulates: the writer-preference cohort lock
+//                   lets the sweep's deletes barge ahead of the read
+//                   flood, the phase-fair baseline alternates them.
 //
 // Arms share streams and seeds; the TTL coin draws from its own generator
 // (workload.hpp), so the kind/key sequences are bit-identical across arms
@@ -67,20 +64,18 @@ struct ArmResult {
   Summary read_lat;  // kGetBatch round trips only
 };
 
-// One storm arm over lock type L.  sweep_batch == 0 means expiry off.
+// One arm over lock type L: a lease storm, or the same mix with expiry off.
 template <class L>
-ArmResult run_arm(BenchContext& ctx, std::uint64_t sweep_batch) {
+ArmResult run_arm(BenchContext& ctx, bool storm) {
   serve::ServeConfig scfg = serve::ServeConfig{}.with_workers(2);
-  if (sweep_batch > 0)
-    scfg.with_expiry(/*resolution_ns=*/1 * kMs, sweep_batch,
-                     /*max_debt=*/4 * sweep_batch);
+  if (storm) scfg.with_expiry(/*resolution_ns=*/1 * kMs);
   const Topology topo = Topology::simulated(kNodes, kCpusPerNode);
   serve::KvServer<L> server(topo, scfg);
 
   ServeMixConfig mix;
   mix.seed = ctx.params().seed;
   mix.read_fraction = 0.9;  // denser put stream than E21: leases are load
-  if (sweep_batch > 0) {
+  if (storm) {
     mix.ttl_fraction = 1.0;  // every put leased: the storm
     mix.ttl_ns = kStormTtlNs;
   }
@@ -183,14 +178,13 @@ void report(BenchContext& ctx, Table& t, const std::string& name,
 
 template <class L>
 void column(BenchContext& ctx, Table& t, const std::string& lock) {
-  report(ctx, t, "expiry/" + lock + "/off", run_arm<L>(ctx, 0));
-  report(ctx, t, "expiry/" + lock + "/storm_batched", run_arm<L>(ctx, 128));
-  report(ctx, t, "expiry/" + lock + "/storm_per_item", run_arm<L>(ctx, 1));
+  report(ctx, t, "expiry/" + lock + "/off", run_arm<L>(ctx, false));
+  report(ctx, t, "expiry/" + lock + "/storm_batched", run_arm<L>(ctx, true));
 }
 
 void run(BenchContext& ctx) {
-  std::cout << "E22: read latency under lease expiry storms — sweep "
-               "batching x shard-lock discipline\n"
+  std::cout << "E22: read latency under lease expiry storms x shard-lock "
+               "discipline\n"
             << ctx.params().threads << " clients x " << ctx.scaled_iters(400)
             << " mixed ops each (90/10 zipfian, get_many batch " << kBatch
             << "), simulated " << kNodes << "x" << kCpusPerNode
@@ -205,7 +199,7 @@ void run(BenchContext& ctx) {
 }
 
 BJRW_BENCH("expiry",
-           "E22: lease/TTL expiry storms — batched vs per-item sweeps over "
+           "E22: lease/TTL expiry storms — batched sweeps over "
            "writer-preference cohort and phase-fair shard locks",
            run);
 

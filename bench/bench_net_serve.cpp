@@ -49,11 +49,8 @@ struct SimCohortWp2x4 : CohortMwWriterPrefLock<> {
 
 using Server = serve::KvServer<SimCohortWp2x4>;
 
-// burst = worker-side bulk-claim depth (1 = the default control);
-// the net rows pair it with the front-end's staged submit_many, so one
-// epoll sweep publishes a batch and one bulk claim drains it.
-serve::ServeConfig server_config(std::size_t burst = 1) {
-  return serve::ServeConfig{}.with_workers(2).with_burst(burst);
+serve::ServeConfig server_config() {
+  return serve::ServeConfig{}.with_workers(2);
 }
 
 void preload(Server& server) {
@@ -139,9 +136,9 @@ ArmResult run_inproc(const net::LoadgenConfig& cfg) {
 
 // (b) Loopback arm: the same lists through KvClient pipelines against the
 // epoll front-end.
-ArmResult run_net(net::LoadgenConfig cfg, int depth, std::size_t burst = 1) {
+ArmResult run_net(net::LoadgenConfig cfg, int depth) {
   const Topology topo = Topology::simulated(kNodes, kCpusPerNode);
-  Server server(topo, server_config(burst));
+  Server server(topo, server_config());
   preload(server);
   net::NetServer<SimCohortWp2x4> netsrv(server);
   if (!netsrv.ok()) {
@@ -180,14 +177,6 @@ void run(BenchContext& ctx) {
   report(ctx, t, "net/loopback/d1", run_net(cfg, 1));
   report(ctx, t, "net/loopback/d4", run_net(cfg, 4));
   report(ctx, t, "net/loopback/d16", run_net(cfg, 16));
-
-  // Burst-depth column at the deepest pipeline, where the front-end's
-  // staged submit actually accumulates batches between epoll sweeps:
-  // k1 (the default) is the control; k4/k16 vary the worker-side
-  // bulk-claim depth.
-  report(ctx, t, "net/burst/k1/d16", run_net(cfg, 16, 1));
-  report(ctx, t, "net/burst/k4/d16", run_net(cfg, 16, 4));
-  report(ctx, t, "net/burst/k16/d16", run_net(cfg, 16, 16));
 
   t.print(std::cout);
 }

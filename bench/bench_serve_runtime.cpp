@@ -14,9 +14,14 @@
 //     (on hosts narrower than the simulated shape pinning degrades to a
 //     recorded no-op — the `pinned_workers` metric says what really ran).
 //
+// Every row runs the one worker shape: up to serve::kBurst slices per
+// claim, batched-get keys grouped into one lock epoch per shard group
+// (DESIGN.md §11).
+//
 // Reported per row: request throughput, client-side end-to-end latency
-// percentiles (queue wait included), and the cohort counters (handoffs,
-// global acquires, reader-preemption aborts) summed over every shard lock.
+// percentiles (queue wait included), the cohort counters (handoffs,
+// global acquires, reader-preemption aborts) summed over every shard lock,
+// and the realized mean claim depth.
 #include <atomic>
 #include <cstdint>
 #include <iostream>
@@ -81,9 +86,6 @@ struct RowOpts {
   // (required for handoff/preemption dynamics to be reachable at all on
   // oversubscribed hosts).
   int write_burst = 1;
-  // Worker-side burst depth: K slices bulk-dequeued per poll, batched-get
-  // keys gathered across requests into one lock epoch per shard group.
-  std::size_t burst = 1;
 };
 
 template <class Lock>
@@ -97,8 +99,7 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
                                      .with_workers(2)
                                      .with_pin(o.pin)
                                      .with_dispatch(o.node_local)
-                                     .with_alloc(o.node_local)
-                                     .with_burst(o.burst);
+                                     .with_alloc(o.node_local);
   serve::KvServer<Lock> server(topo, cfg);
 
   ServeMixConfig scfg;
@@ -126,11 +127,11 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
     std::vector<double> local_lat;
     batch.reserve(kBatch);
     local_lat.reserve(static_cast<std::size_t>(ops_per_client));
-    std::vector<std::unique_ptr<serve::Request>> burst;
+    std::vector<std::unique_ptr<serve::Request>> writes;
     for (int b = 0; b < o.write_burst; ++b)
-      burst.push_back(std::make_unique<serve::Request>());
+      writes.push_back(std::make_unique<serve::Request>());
     std::size_t in_flight = 0;
-    std::uint64_t burst_t0 = 0;  // first submit of the open write burst
+    std::uint64_t writes_t0 = 0;  // first submit of the open write burst
     std::uint64_t done = 0, checksum = 0;
     const auto flush_reads = [&] {
       const std::uint64_t t0 = now_ns();
@@ -140,8 +141,8 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
       batch.clear();
     };
     const auto flush_writes = [&] {
-      for (std::size_t b = 0; b < in_flight; ++b) burst[b]->wait();
-      local_lat.push_back(static_cast<double>(now_ns() - burst_t0));
+      for (std::size_t b = 0; b < in_flight; ++b) writes[b]->wait();
+      local_lat.push_back(static_cast<double>(now_ns() - writes_t0));
       done += in_flight;
       in_flight = 0;
     };
@@ -157,8 +158,8 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
         ++done;
       } else {
         // Pipelined writes: submit async, join the burst when it fills.
-        if (in_flight == 0) burst_t0 = now_ns();
-        serve::Request& r = *burst[in_flight];
+        if (in_flight == 0) writes_t0 = now_ns();
+        serve::Request& r = *writes[in_flight];
         r.reset();
         r.kind = serve::RequestKind::kPut;
         r.key = op.key;
@@ -195,9 +196,9 @@ void runtime_row(BenchContext& ctx, Table& t, const RowOpts& o) {
   }
 
   const Summary lat = summarize(std::move(latencies));
-  // Realized mean burst depth: slices executed per bulk claim.  Tracks the
-  // configured K only when the queue actually runs deep; near-idle rows
-  // report ~1 regardless of K.
+  // Realized mean claim depth: slices executed per bulk claim.  Reaches
+  // serve::kBurst only when the queue actually runs deep; near-idle rows
+  // report ~1.
   const double mean_burst =
       total.bursts > 0
           ? static_cast<double>(total.sub_requests) /
@@ -236,8 +237,7 @@ void run(BenchContext& ctx) {
       << " client threads, 2 workers/node, get_many batch " << kBatch
       << ")\n"
       << "Arms: node-local vs oblivious placement (1/2/4-node sims), cohort\n"
-      << "handoff budget (70/30 mix), pinned vs unpinned pools, burst\n"
-      << "depth K (bulk-claim + shard-grouped execution).\n"
+      << "handoff budget (70/30 mix), pinned vs unpinned pools.\n"
       << "Latencies are client-side end-to-end (queue wait included).\n\n";
   Table t({"config", "nodes", "read_ratio", "mops_per_s", "p50_us", "p99_us",
            "handoff_rate", "preempts", "pinned"});
@@ -264,22 +264,6 @@ void run(BenchContext& ctx) {
   // preemption enabled; WP disables it).
   runtime_row<SimCohortSf<2, 4>>(
       ctx, t, {"budget/fixed/2x4", 2, 4, 0.70, true, true, 1, 8});
-
-  // Burst dataplane (DESIGN.md §11): workers bulk-claim up to K slices per
-  // poll and execute each shard group under one lock epoch.  k1 is the
-  // control (runs of one slice, the default); k4/k16 amortize.
-  runtime_row<SimCohortWp<2, 4>>(
-      ctx, t, {"burst/k1/2x4", 2, 4, 0.95, true, true, 8, 4, 1});
-  runtime_row<SimCohortWp<2, 4>>(
-      ctx, t, {"burst/k4/2x4", 2, 4, 0.95, true, true, 8, 4, 4});
-  runtime_row<SimCohortWp<2, 4>>(
-      ctx, t, {"burst/k16/2x4", 2, 4, 0.95, true, true, 8, 4, 16});
-
-  // Burst composed with the handoff-budget row: the grouped gather takes
-  // ONE cohort ticket per shard group, so fewer, longer lock epochs reach
-  // the cohort layer.
-  runtime_row<SimCohortSf<2, 4>>(
-      ctx, t, {"budget/fixed/2x4/k16", 2, 4, 0.70, true, true, 1, 8, 16});
 
   // Pinning: the same node-local row with pools left unpinned.
   runtime_row<SimCohortWp<2, 4>>(

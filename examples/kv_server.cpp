@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -129,14 +130,24 @@ int listen_mode(std::uint16_t port, double admit_rate,
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--listen") == 0) {
-    // --expiry [resolution_ms] (default 1 ms) arms the lease subsystem;
-    // it may appear anywhere after --listen.
+    // --expiry [resolution_ms] (default 1 ms; a finite non-positive value
+    // also means 1 ms) arms the lease subsystem; it may appear anywhere
+    // after --listen.  The wheel counts whole nanoseconds in a u64, so a
+    // non-finite resolution, or one below 1 ns or past 2^64 ns, is refused
+    // rather than cast.
     std::uint64_t expiry_ns = 0;
     int npos = argc;
     for (int i = 2; i < argc; ++i) {
       if (std::strcmp(argv[i], "--expiry") == 0) {
-        const double ms = i + 1 < argc ? std::atof(argv[i + 1]) : 0.0;
-        expiry_ns = static_cast<std::uint64_t>((ms > 0.0 ? ms : 1.0) * 1e6);
+        double ms = i + 1 < argc ? std::atof(argv[i + 1]) : 1.0;
+        if (std::isfinite(ms) && ms <= 0.0) ms = 1.0;
+        const double ns = ms * 1e6;
+        if (!std::isfinite(ns) || ns < 1.0 || ns >= 0x1p64) {
+          std::cerr << "kv_server: --expiry resolution_ms must be finite, "
+                       "at least 1 ns and below 2^64 ns\n";
+          return 2;
+        }
+        expiry_ns = static_cast<std::uint64_t>(ns);
         npos = i;
         break;
       }
@@ -144,7 +155,12 @@ int main(int argc, char** argv) {
     const long p = npos > 2 ? std::atol(argv[2]) : 0;
     // Optional per-node admission rate (ops/s): 0 disables the token
     // bucket.  Drive an overload run with ./kv_loadgen to watch sheds.
+    // NaN would read as "off" and infinity has no token arithmetic.
     const double rate = npos > 3 ? std::atof(argv[3]) : 0.0;
+    if (!std::isfinite(rate) || rate < 0.0) {
+      std::cerr << "kv_server: admit_rate must be finite and >= 0\n";
+      return 2;
+    }
     return listen_mode(static_cast<std::uint16_t>(p), rate, expiry_ns);
   }
   const int clients = argc > 1 ? std::max(1, std::atoi(argv[1])) : 4;

@@ -4,12 +4,14 @@
 // iterations, so sweep debt stays bounded under sustained load without a
 // dedicated thread competing for CPU with the serving hot path.
 //
-// A poll harvests up to `sweep_batch` due leases from the node's
-// TimerWheel and deletes them through the map's bulk compare-and-erase —
-// one shard-lock *write* epoch per distinct shard per batch (the write-side
+// A poll harvests up to kSweepBatch due leases from the node's TimerWheel
+// and deletes them through the map's bulk compare-and-erase — one
+// shard-lock *write* epoch per distinct shard per batch (the write-side
 // mirror of the cohort batch read path's ShardGroupScratch grouping), which
 // is exactly the bursty background-writer pressure E22 measures against the
-// writer-pref and phase-fair shard-lock regimes.
+// writer-pref and phase-fair shard-lock regimes.  Batching is the only
+// shape: per-item sweeps (one write epoch per expired key) never beat it
+// (DESIGN.md §8, V2).
 //
 // Correctness split between the two version checks:
 //   wheel-level   harvest drops leases superseded inside the wheel
@@ -26,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,23 +37,19 @@
 
 namespace bjrw::expiry {
 
-struct SweeperStats {
-  std::uint64_t expired = 0;       // entries actually erased
-  std::uint64_t stale_skips = 0;   // map-level version-mismatch skips
-  std::uint64_t batches = 0;       // harvest batches executed
-  std::uint64_t polls = 0;         // polls that won the claim flag
-};
+// Leases harvested + erased per sweep batch (one shard-group write epoch
+// each).
+inline constexpr std::size_t kSweepBatch = 128;
+// Debt ceiling: a poll keeps draining batches while the wheel's due backlog
+// exceeds this; below it, leftovers wait for the next poll so a storm
+// cannot monopolize a worker.
+inline constexpr std::size_t kMaxSweepDebt = 4096;
 
 template <class SubMap>
 class ExpirySweeper {
  public:
-  ExpirySweeper(TimerWheel& wheel, SubMap& map, const ClockSource& clock,
-                std::size_t sweep_batch, std::size_t max_debt)
-      : wheel_(wheel),
-        map_(map),
-        clock_(clock),
-        sweep_batch_(sweep_batch == 0 ? 1 : sweep_batch),
-        max_debt_(max_debt) {}
+  ExpirySweeper(TimerWheel& wheel, SubMap& map, const ClockSource& clock)
+      : wheel_(wheel), map_(map), clock_(clock) {}
 
   ExpirySweeper(const ExpirySweeper&) = delete;
   ExpirySweeper& operator=(const ExpirySweeper&) = delete;
@@ -66,7 +65,7 @@ class ExpirySweeper {
       versions_.clear();
       harvest_.clear();
       const std::uint64_t now = clock_.now_ns();
-      if (wheel_.harvest(now, harvest_, sweep_batch_) == 0) break;
+      if (wheel_.harvest(now, harvest_, kSweepBatch) == 0) break;
       worked = true;
       for (const Lease& l : harvest_) {
         keys_.push_back(l.key);
@@ -78,22 +77,9 @@ class ExpirySweeper {
       expired_.fetch_add(erased);
       stale_skips_.fetch_add(keys_.size() - erased);
       batches_.fetch_add(1);
-      // Keep draining while the wheel's due backlog exceeds the debt
-      // ceiling; below it, leftovers wait for the next poll so one storm
-      // can't monopolize a worker.
-    } while (wheel_.due_backlog() > max_debt_);
-    polls_.fetch_add(1);
+    } while (wheel_.due_backlog() > kMaxSweepDebt);
     claim_.clear();
     return worked;
-  }
-
-  SweeperStats stats() const {
-    SweeperStats s;
-    s.expired = expired_.load();
-    s.stale_skips = stale_skips_.load();
-    s.batches = batches_.load();
-    s.polls = polls_.load();
-    return s;
   }
 
   std::uint64_t expired() const { return expired_.load(); }
@@ -104,8 +90,6 @@ class ExpirySweeper {
   TimerWheel& wheel_;
   SubMap& map_;
   const ClockSource& clock_;
-  const std::size_t sweep_batch_;
-  const std::size_t max_debt_;
 
   std::atomic_flag claim_ = ATOMIC_FLAG_INIT;
   // Scratch guarded by claim_: one sweeper at a time.
@@ -116,7 +100,6 @@ class ExpirySweeper {
   std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> stale_skips_{0};
   std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> polls_{0};
 };
 
 }  // namespace bjrw::expiry

@@ -47,6 +47,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -67,16 +68,16 @@
 
 namespace bjrw::net {
 
+// Frames parsed from one read batch are staged and published together
+// through KvServer::submit_many — one ring reservation per node per batch
+// instead of one per frame.  This caps the stage depth.
+inline constexpr std::size_t kSubmitBatch = 16;
+
 struct NetServerConfig {
   std::uint16_t port = 0;        // 0 = ephemeral; see NetServer::port()
   int backlog = 128;
   std::size_t max_frame = kDefaultMaxFrame;
   std::size_t slots_per_connection = 64;  // in-flight depth bound
-  // Frames parsed from one read batch are staged and published together
-  // through KvServer::submit_many — one ring reservation per node per
-  // batch instead of one per frame.  This caps the stage depth; 1 degrades
-  // to per-frame submission.
-  std::size_t submit_batch = 16;
 };
 
 template <ReaderWriterLock Lock>
@@ -89,10 +90,6 @@ class NetServer {
   // the server inert (no thread).
   NetServer(Kv& kv, NetServerConfig cfg = {}) : kv_(kv), cfg_(cfg) {
     if (cfg_.slots_per_connection < 1) cfg_.slots_per_connection = 1;
-    if (cfg_.submit_batch < 1) cfg_.submit_batch = 1;
-    flush_reqs_.resize(cfg_.submit_batch);
-    flush_outcomes_ =
-        std::make_unique<serve::AdmitResult[]>(cfg_.submit_batch);
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listen_fd_ < 0) return;
     int one = 1;
@@ -521,7 +518,7 @@ class NetServer {
   // when the stage hits the configured depth.
   void submit_slot(Connection& c, Slot* s) {
     c.staged.push_back(s);
-    if (c.staged.size() >= cfg_.submit_batch) flush_staged(c);
+    if (c.staged.size() >= kSubmitBatch) flush_staged(c);
   }
 
   // Publishes every staged slot with ONE KvServer::submit_many call — one
@@ -537,7 +534,7 @@ class NetServer {
     if (n == 0) return;
     for (std::size_t i = 0; i < n; ++i)
       flush_reqs_[i] = &c.staged[i]->req;
-    kv_.submit_many(flush_reqs_.data(), n, flush_outcomes_.get());
+    kv_.submit_many(flush_reqs_.data(), n, flush_outcomes_.data());
     bool freed = false;
     for (std::size_t i = 0; i < n; ++i) {
       Slot* s = c.staged[i];
@@ -828,9 +825,9 @@ class NetServer {
   std::atomic<std::uint64_t> loop_parks_{0};
   std::size_t total_in_flight_ = 0;  // loop-thread only
   std::vector<std::unique_ptr<Connection>> conns_;  // loop-thread only
-  // flush_staged scratch (loop-thread only), sized submit_batch once.
-  std::vector<serve::Request*> flush_reqs_;
-  std::unique_ptr<serve::AdmitResult[]> flush_outcomes_;
+  // flush_staged scratch (loop-thread only).
+  std::array<serve::Request*, kSubmitBatch> flush_reqs_{};
+  std::array<serve::AdmitResult, kSubmitBatch> flush_outcomes_{};
   std::thread loop_;
 };
 

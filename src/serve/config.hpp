@@ -2,7 +2,7 @@
 //
 // Historically the runtime grew three overlapping knob structs —
 // KvServer::Config, WorkerPool's ctor Config, and the loadgen's mix
-// fields — with `burst` and the pool geometry spelled differently in each.
+// fields — with the pool geometry spelled differently in each.
 // This file consolidates the server-side pair into one documented struct
 // that both KvServer and WorkerPool consume directly (the client-side
 // zipfian mix lives in ServeMixConfig, src/harness/workload.hpp, embedded
@@ -16,6 +16,7 @@
 // clamping silently into a shape the benchmarks then mis-label.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -35,6 +36,10 @@ namespace bjrw::serve {
 inline constexpr std::size_t kMaxQueueCapacity =
     std::numeric_limits<std::size_t>::max() / 2 + 1;
 
+// The largest token-bucket depth: the bucket counts tokens in an int64.
+inline constexpr std::size_t kMaxAdmitDepth =
+    static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max());
+
 struct ServeConfig {
   // ---- placement / map ------------------------------------------------------
   std::size_t shards_per_node = 8;  // per-node write parallelism vs memory
@@ -50,11 +55,6 @@ struct ServeConfig {
   int max_width = 1;
   std::size_t queue_capacity = 1024;  // per-node, rounded up to 2^k
   bool pin_workers = true;            // best-effort Topology::pin_this_thread
-  // Burst depth, in [1, queue_capacity]: workers dequeue up to `burst`
-  // slices per poll and execute each owning node's batched-get keys —
-  // across parent requests — under one lock epoch per shard.  1 runs the
-  // same loop with runs of one slice.
-  std::size_t burst = 1;
 
   // ---- elasticity (DESIGN.md §12) -------------------------------------------
   // How long an idle serving thread keeps polling before it blocks
@@ -68,9 +68,9 @@ struct ServeConfig {
   // Per-node token bucket charged per key (batched gets) / per op (point
   // ops) at the submit edge, before any latch init.  0 disables shedding.
   double admit_rate = 0.0;      // tokens (≈ ops) per second per node
-  // Bucket depth: how much burst above the sustained rate a node absorbs.
-  // 0 derives 10ms worth of rate (min 64) — enough that batched submits
-  // are not sheared apart by quantization.
+  // Bucket depth (<= kMaxAdmitDepth): how much burst above the sustained
+  // rate a node absorbs.  0 derives 10ms worth of rate (min 64) — enough
+  // that batched submits are not sheared apart by quantization.
   std::size_t admit_burst = 0;
   // Advisory depth bound: a submit finding the target node's queue at or
   // beyond the high-water mark is deferred with AdmitResult::kQueueFull
@@ -86,13 +86,6 @@ struct ServeConfig {
   std::uint64_t expiry_resolution_ns = 1'000'000;  // 1ms
   std::size_t expiry_wheel_slots = 256;  // per level; power of two
   int expiry_wheel_levels = 3;           // spans slots^levels * resolution
-  // Leases harvested + erased per sweep batch (one shard-group write epoch
-  // each).  1 is the per-item control arm E22 measures against.
-  std::size_t expiry_sweep_batch = 128;
-  // Debt ceiling: a maintenance poll keeps draining batches while the due
-  // backlog exceeds this; below it, leftovers wait for the next poll so a
-  // storm cannot monopolize a worker.
-  std::size_t expiry_max_debt = 4096;
   // Lease-time source; nullptr = steady clock.  Tests inject a VirtualClock
   // to drive wheel cascade and sweep choreography tick-by-tick.  Not owned;
   // must outlive the server.
@@ -138,19 +131,13 @@ struct ServeConfig {
     node_local_alloc = node_local;
     return *this;
   }
-  // Checked against the queue_capacity set so far: set the capacity first.
-  ServeConfig& with_burst(std::size_t b) {
-    check_burst(b, queue_capacity);
-    burst = b;
-    return *this;
-  }
   ServeConfig& with_park(std::uint64_t grace_ns) {
     if (grace_ns == 0) fail("park_grace_ns must be > 0");
     park_grace_ns = grace_ns;
     return *this;
   }
   ServeConfig& with_admission(double rate_per_s, std::size_t bucket = 0) {
-    if (rate_per_s < 0.0) fail("admit_rate must be >= 0");
+    check_admission(rate_per_s, bucket);
     admit_rate = rate_per_s;
     admit_burst = bucket;
     return *this;
@@ -159,17 +146,11 @@ struct ServeConfig {
     queue_high_water = depth;
     return *this;
   }
-  // Arms the expiry subsystem: wheel resolution, sweep batch, and the max
-  // sweep-debt ceiling (0 debt = drain fully every poll).
-  ServeConfig& with_expiry(std::uint64_t resolution_ns,
-                           std::size_t sweep_batch = 128,
-                           std::size_t max_debt = 4096) {
+  // Arms the expiry subsystem at the given wheel resolution.
+  ServeConfig& with_expiry(std::uint64_t resolution_ns) {
     if (resolution_ns == 0) fail("expiry_resolution_ns must be > 0");
-    if (sweep_batch < 1) fail("expiry_sweep_batch must be >= 1");
     expiry_enabled = true;
     expiry_resolution_ns = resolution_ns;
-    expiry_sweep_batch = sweep_batch;
-    expiry_max_debt = max_debt;
     return *this;
   }
   ServeConfig& with_expiry_wheel(std::size_t slots, int levels) {
@@ -189,11 +170,13 @@ struct ServeConfig {
     return *this;
   }
 
-  // Effective bucket depth once the 0-means-derived rule is applied.
+  // Effective bucket depth once the 0-means-derived rule is applied; a
+  // huge rate saturates at kMaxAdmitDepth before the integer cast.
   std::size_t effective_admit_burst() const {
     if (admit_burst > 0) return admit_burst;
-    const auto derived = static_cast<std::size_t>(admit_rate * 0.010);
-    return derived > 64 ? derived : 64;
+    const double derived = admit_rate * 0.010;
+    if (derived >= static_cast<double>(kMaxAdmitDepth)) return kMaxAdmitDepth;
+    return derived > 64.0 ? static_cast<std::size_t>(derived) : 64;
   }
 
   // Whole-struct re-check; consumers (KvServer, WorkerPool) call this at
@@ -204,12 +187,10 @@ struct ServeConfig {
     if (min_width < 1) fail("min_width must be >= 1");
     if (max_width < min_width) fail("max_width must be >= min_width");
     check_capacity(queue_capacity);
-    check_burst(burst, queue_capacity);
     if (park_grace_ns == 0) fail("park_grace_ns must be > 0");
-    if (admit_rate < 0.0) fail("admit_rate must be >= 0");
+    check_admission(admit_rate, admit_burst);
     if (expiry_enabled) {
       if (expiry_resolution_ns == 0) fail("expiry_resolution_ns must be > 0");
-      if (expiry_sweep_batch < 1) fail("expiry_sweep_batch must be >= 1");
       if (expiry_wheel_slots < 2 ||
           (expiry_wheel_slots & (expiry_wheel_slots - 1)) != 0)
         fail("expiry_wheel_slots must be a power of two >= 2");
@@ -224,10 +205,13 @@ struct ServeConfig {
     if (cap < 2 || cap > kMaxQueueCapacity)
       fail("queue_capacity must be in [2, the largest power of two]");
   }
-  // A run longer than the ring can never be claimed, and each worker
-  // allocates a `burst`-slot buffer up front.
-  static void check_burst(std::size_t b, std::size_t capacity) {
-    if (b < 1 || b > capacity) fail("burst must be in [1, queue_capacity]");
+  // A deeper bucket would wrap to a negative int64 cap that sheds
+  // everything; a non-finite rate has no token arithmetic (NaN reads "off").
+  static void check_admission(double rate, std::size_t depth) {
+    if (!std::isfinite(rate) || rate < 0.0)
+      fail("admit_rate must be finite and >= 0");
+    if (depth > kMaxAdmitDepth)
+      fail("admit_burst must be <= the largest int64");
   }
   [[noreturn]] static void fail(const char* what) {
     throw std::invalid_argument(std::string("ServeConfig: ") + what);

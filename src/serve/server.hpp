@@ -455,8 +455,7 @@ class KvServer {
     for (int d = 0; d < map_.node_count(); ++d)
       sweepers.push_back(
           std::make_unique<expiry::ExpirySweeper<typename Map::SubMap>>(
-              *wheels_[idx(d)], map_.sub_map(d), *clock_,
-              cfg_.expiry_sweep_batch, cfg_.expiry_max_debt));
+              *wheels_[idx(d)], map_.sub_map(d), *clock_));
     return sweepers;
   }
 
@@ -560,23 +559,30 @@ class KvServer {
   // actually credited (whole tokens), so fractional remainders carry over
   // instead of being dropped — the long-run rate is exact.  The CAS on
   // last_ns elects one crediting thread per window; losers just proceed
-  // to the consume CAS with whatever is there.
+  // to the consume CAS with whatever is there.  Credit owed beyond the
+  // bucket depth is clamped as a double, before the cast (it need not fit
+  // an int64), and spends the whole gap: a full bucket carries nothing.
   void refill(AdmitState& st) {
     const std::uint64_t now = now_ns();
     std::uint64_t last = st.last_ns.load(std::memory_order_relaxed);
     if (now <= last) return;
-    const double dt_s = static_cast<double>(now - last) * 1e-9;
-    const auto credit = static_cast<std::int64_t>(dt_s * cfg_.admit_rate);
-    if (credit <= 0) return;
-    const auto credit_ns = static_cast<std::uint64_t>(
-        static_cast<double>(credit) * 1e9 / cfg_.admit_rate);
+    const auto cap = static_cast<std::int64_t>(cfg_.effective_admit_burst());
+    const double owed =
+        static_cast<double>(now - last) * 1e-9 * cfg_.admit_rate;
+    std::int64_t credit = cap;
+    std::uint64_t credit_ns = now - last;
+    if (owed < static_cast<double>(cap)) {
+      credit = static_cast<std::int64_t>(owed);
+      if (credit <= 0) return;
+      credit_ns = static_cast<std::uint64_t>(static_cast<double>(credit) *
+                                             1e9 / cfg_.admit_rate);
+    }
     if (!st.last_ns.compare_exchange_strong(last, last + credit_ns,
                                             std::memory_order_relaxed))
       return;  // another submitter credited this window
-    const auto cap = static_cast<std::int64_t>(cfg_.effective_admit_burst());
     std::int64_t t = st.tokens.load(std::memory_order_relaxed);
     for (;;) {
-      const std::int64_t next = t + credit > cap ? cap : t + credit;
+      const std::int64_t next = t > cap - credit ? cap : t + credit;
       if (st.tokens.compare_exchange_weak(t, next,
                                           std::memory_order_relaxed))
         break;

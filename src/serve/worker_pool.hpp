@@ -39,6 +39,7 @@
 // shape, so parking can never strand an accepted item (see park()).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -202,10 +203,16 @@ class BoundedMpmcQueue {
   alignas(64) std::atomic<std::size_t> tail_{0};  // consumer cursor
 };
 
+// Slices a worker claims per poll, clamped to the ring capacity: one
+// cursor CAS, one handler call and — for batched gets — one lock epoch per
+// shard group cover the whole run.  A burst never waits to fill: a
+// near-idle queue still hands over runs of one (DESIGN.md §11, §8 V3).
+inline constexpr std::size_t kBurst = 16;
+
 // Per-node pools of pinned workers draining per-node queues.  Item is the
 // queue element (the runtime uses SubRequest); the handler runs on the
 // worker thread as handler(pool_tid, node, items, n) over a claimed run of
-// 1..burst items.
+// 1..kBurst items.
 //
 // Memory-only NUMA nodes (zero CPUs, representable since the sparse-sysfs
 // parser) get no workers and an empty queue: submits addressed to them are
@@ -378,7 +385,6 @@ class WorkerPool {
 
   void init(const ServeConfig& cfg) {
     const int nodes = topo_.node_count();
-    burst_ = cfg.burst;
     grace_ns_ = cfg.park_grace_ns;
     // Pool tids are logical-CPU indices: node d's w-th worker gets the tid
     // of that node's w-th CPU, which node_of_tid maps straight back to d.
@@ -426,11 +432,11 @@ class WorkerPool {
     // Workers beyond the committed floor are the elastic ones: only they
     // park, so a fixed-width pool is all spinners.
     const bool may_park = w >= min_width_;
-    std::vector<Item> batch(burst_);
+    std::vector<Item> batch(std::min(kBurst, n.queue->capacity()));
     IdlePolicy idle(grace_ns_);
     std::uint32_t polls_since_maint = 0;
     for (;;) {
-      const std::size_t k = n.queue->try_pop_bulk(batch.data(), burst_);
+      const std::size_t k = n.queue->try_pop_bulk(batch.data(), batch.size());
       if (k > 0) {
         handler_(tid, d, batch.data(), k);
         n.executed.fetch_add(k, std::memory_order_relaxed);
@@ -535,7 +541,6 @@ class WorkerPool {
   MaintenanceHandler maintenance_;
   int workers_per_node_ = 1;  // spawned (elastic ceiling) after CPU clamp
   int min_width_ = 1;         // committed floor: these never park
-  std::size_t burst_ = 1;
   std::uint64_t grace_ns_ = kDefaultParkGraceNs;
   std::vector<int> node_base_;  // node -> first logical CPU index (pool tid)
   std::vector<int> route_;      // node -> nearest CPU-bearing node (or self)

@@ -3,7 +3,8 @@
 //  * AdmitResult — the severity order worst_of aggregates by, and the
 //    wire-facing names;
 //  * ServeConfig — fluent setters and validate() reject nonsense geometry
-//    eagerly; the 0-means-derived admit-burst rule;
+//    eagerly (non-finite admission rates and int64-overflowing bucket
+//    depths included); the 0-means-derived admit-burst rule;
 //  * WorkerPool elasticity — workers beyond min_width park after the grace
 //    period on an empty queue and submitters wake them when depth outruns
 //    the awake width; a fixed-width pool never parks;
@@ -17,7 +18,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -79,13 +82,6 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   EXPECT_THROW(ServeConfig{}.with_queue_capacity(1), std::invalid_argument);
   EXPECT_THROW(ServeConfig{}.with_park(0), std::invalid_argument);
   EXPECT_THROW(ServeConfig{}.with_admission(-1.0), std::invalid_argument);
-  // burst lives in [1, queue_capacity]: 0 has no worker loop, and a run
-  // longer than the ring can never be claimed.
-  EXPECT_THROW(ServeConfig{}.with_burst(0), std::invalid_argument);
-  EXPECT_THROW(ServeConfig{}.with_burst(SIZE_MAX), std::invalid_argument);
-  EXPECT_THROW(ServeConfig{}.with_queue_capacity(64).with_burst(65),
-               std::invalid_argument);
-  EXPECT_NO_THROW(ServeConfig{}.with_queue_capacity(64).with_burst(64));
   // The ring rounds its capacity up to a power of two, which overflows
   // past the largest one a size_t holds.
   constexpr std::size_t kTopPow2 = SIZE_MAX / 2 + 1;
@@ -107,24 +103,12 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   bad.park_grace_ns = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad = ServeConfig{};
-  bad.burst = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ServeConfig{};
-  bad.queue_capacity = 64;
-  bad.burst = 65;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = ServeConfig{};
   bad.queue_capacity = SIZE_MAX;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   bad.queue_capacity = kTopPow2 + 1;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-  // The pool must refuse a SIZE_MAX burst before any worker allocates its
-  // run buffer: that allocation would throw on a worker thread and
-  // terminate the process.
-  bad = ServeConfig{};
-  bad.burst = SIZE_MAX;
+  // The pool runs the same gate before it spawns a worker.
   bad.pin_workers = false;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
   EXPECT_THROW(WorkerPool<int>(Topology::simulated(1, 1), bad,
                                [](int, int, int*, std::size_t) {}),
                std::invalid_argument);
@@ -136,7 +120,6 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
                               .with_pin(false)
                               .with_dispatch(false)
                               .with_alloc(false)
-                              .with_burst(4)
                               .with_park(5'000)
                               .with_admission(1e6, 128)
                               .with_high_water(32);
@@ -147,7 +130,6 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   EXPECT_FALSE(cfg.pin_workers);
   EXPECT_FALSE(cfg.node_local_dispatch);
   EXPECT_FALSE(cfg.node_local_alloc);
-  EXPECT_EQ(cfg.burst, 4u);
   EXPECT_EQ(cfg.park_grace_ns, 5'000u);
   EXPECT_EQ(cfg.admit_rate, 1e6);
   EXPECT_EQ(cfg.queue_high_water, 32u);
@@ -163,6 +145,36 @@ TEST(ServeConfig, EffectiveAdmitBurstDerivesTenMillisecondsOfRate) {
             64u);  // 10 derived, floor wins
   EXPECT_EQ(ServeConfig{}.with_admission(1e6).effective_admit_burst(),
             10'000u);
+  // A finite rate too large for the derived depth saturates at the
+  // deepest bucket instead of reaching an out-of-range integer cast.
+  EXPECT_EQ(ServeConfig{}.with_admission(1e300).effective_admit_burst(),
+            serve::kMaxAdmitDepth);
+}
+
+TEST(ServeConfig, AdmissionRejectsNonFiniteRatesAndOversizedDepths) {
+  // Infinity has no token arithmetic, NaN would compare as "off", and the
+  // bucket counts tokens in an int64: a deeper bucket would wrap to a
+  // negative cap that sheds every request.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ServeConfig{}.with_admission(kInf), std::invalid_argument);
+  EXPECT_THROW(ServeConfig{}.with_admission(-kInf), std::invalid_argument);
+  EXPECT_THROW(ServeConfig{}.with_admission(kNaN), std::invalid_argument);
+  EXPECT_THROW(ServeConfig{}.with_admission(1e6, SIZE_MAX),
+               std::invalid_argument);
+  EXPECT_THROW(ServeConfig{}.with_admission(1e6, serve::kMaxAdmitDepth + 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ServeConfig{}.with_admission(1e6, serve::kMaxAdmitDepth));
+
+  ServeConfig bad;
+  bad.admit_rate = kInf;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad.admit_rate = kNaN;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  bad = ServeConfig{};
+  bad.admit_rate = 1e6;
+  bad.admit_burst = serve::kMaxAdmitDepth + 1;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
 // ---- WorkerPool elasticity --------------------------------------------------
@@ -180,12 +192,16 @@ TEST(WorkerPoolElasticity, WorkersParkAfterGraceAndSubmittersWakeThem) {
                               .with_pin(false)
                               .with_park(20'000);
   std::atomic<bool> gate{false};
+  std::atomic<bool> wedged{false};
   std::atomic<int> executed{0};
   WorkerPool<int> pool(topo, cfg, [&](int, int, int* items, std::size_t n) {
     // A negative item wedges its worker until the gate opens, taking one
     // consumer out of play so the flood below must fan out.
     for (std::size_t i = 0; i < n; ++i)
-      if (items[i] < 0) spin_until<YieldSpin>([&] { return gate.load(); });
+      if (items[i] < 0) {
+        wedged.store(true);
+        spin_until<YieldSpin>([&] { return gate.load(); });
+      }
     executed.fetch_add(static_cast<int>(n), std::memory_order_relaxed);
   });
   ASSERT_EQ(pool.workers_in_node(0), 4);
@@ -202,10 +218,13 @@ TEST(WorkerPoolElasticity, WorkersParkAfterGraceAndSubmittersWakeThem) {
 
   // Wedge the awake spinner, then flood: the published depth outruns the
   // awake width, so the submitter must bump the wake epoch for the queue to
-  // drain at all.  The flood publishes in one call, so its one wake check
-  // sees all 64 items queued, and a woken worker pops until the queue is
-  // empty before it can park again.
+  // drain at all.  The flood waits until the wedge item is running, so the
+  // wedged claim holds that item alone (a claim takes up to kBurst queued
+  // items).  The flood publishes in one call, so its one wake check sees
+  // all 64 items queued, and a woken worker pops until the queue is empty
+  // before it can park again.
   ASSERT_EQ(submit_one(pool, 0, -1), AdmitResult::kAccepted);
+  spin_until<YieldSpin>([&] { return wedged.load(); });
   std::vector<int> flood;
   for (int i = 0; i < 64; ++i) flood.push_back(i);
   const serve::PoolPublish pub = pool.submit_many(0, flood.data(), flood.size());
@@ -304,8 +323,8 @@ TEST(KvAdmission, BatchChargingIsPerKeyAndAllOrNothing) {
   const std::vector<std::uint64_t> two{4, 5};
   const std::vector<std::uint64_t> one{6};
 
-  const auto submit_batch = [&](const std::vector<std::uint64_t>& keys,
-                                Request& r) {
+  const auto submit_keys = [&](const std::vector<std::uint64_t>& keys,
+                               Request& r) {
     r.kind = RequestKind::kGetBatch;
     r.keys = keys.data();
     r.key_count = static_cast<std::uint32_t>(keys.size());
@@ -315,13 +334,13 @@ TEST(KvAdmission, BatchChargingIsPerKeyAndAllOrNothing) {
   };
 
   Request a, b, c, d;
-  EXPECT_EQ(submit_batch(three, a), AdmitResult::kAccepted);  // 3 of 4 tokens
+  EXPECT_EQ(submit_keys(three, a), AdmitResult::kAccepted);  // 3 of 4 tokens
   // 2 > the 1 remaining: refused whole, nothing charged (all-or-nothing).
-  EXPECT_EQ(submit_batch(two, b), AdmitResult::kShedOverload);
+  EXPECT_EQ(submit_keys(two, b), AdmitResult::kShedOverload);
   // The surviving token still admits a 1-key batch — proof the refusal
   // above did not partially drain the bucket.
-  EXPECT_EQ(submit_batch(one, c), AdmitResult::kAccepted);
-  EXPECT_EQ(submit_batch(one, d), AdmitResult::kShedOverload);
+  EXPECT_EQ(submit_keys(one, c), AdmitResult::kAccepted);
+  EXPECT_EQ(submit_keys(one, d), AdmitResult::kShedOverload);
   EXPECT_EQ(server.node_stats(0).shed, 2u);
 }
 
@@ -374,6 +393,32 @@ TEST(KvAdmission, HighRateRefillKeepsAdmitting) {
   EXPECT_EQ(server.node_stats(0).shed, 0u);
 }
 
+TEST(KvAdmission, HugeFiniteRateAndDeepestBucketStillRefill) {
+  // Any elapsed time times a 1e300 rate owes far more tokens than an int64
+  // holds: the refill must clamp to the bucket depth before the integer
+  // cast (out of range it is undefined, and on x86 reads as a negative
+  // credit that never refills).  The deepest bucket also must not overflow
+  // the token sum when a full credit lands on a nearly full bucket.
+  for (const std::size_t depth : {std::size_t{2}, serve::kMaxAdmitDepth}) {
+    const Topology topo = Topology::simulated(1, 2);
+    KvServer<WriterPriorityLock> server(
+        topo, ServeConfig{}.with_workers(1).with_pin(false).with_admission(
+                  1e300, depth));
+    std::uint64_t key = 3;
+    for (int i = 0; i < 20; ++i) {
+      Request r;
+      r.kind = RequestKind::kGet;
+      r.keys = &key;
+      r.key_count = 1;
+      ASSERT_EQ(server.submit(&r), AdmitResult::kAccepted)
+          << "depth " << depth << " op " << i;
+      r.wait();
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    EXPECT_EQ(server.node_stats(0).shed, 0u);
+  }
+}
+
 TEST(KvAdmission, QueueFullDefersAtHighWaterWithoutDrainingTheBucket) {
   // Deterministic choreography: write-lock BOTH shards of the only node so
   // the single worker blocks inside its first request's read section.  The
@@ -386,7 +431,6 @@ TEST(KvAdmission, QueueFullDefersAtHighWaterWithoutDrainingTheBucket) {
                                                 .with_shards(2)
                                                 .with_workers(1)
                                                 .with_pin(false)
-                                                .with_burst(1)
                                                 .with_admission(kFrozenRate,
                                                                 1'000)
                                                 .with_high_water(1));

@@ -65,8 +65,6 @@ bool eventually(Pred pred) {
 
 TEST(ExpiryServe, ConfigValidatesExpiryKnobs) {
   EXPECT_THROW(ServeConfig{}.with_expiry(0), std::invalid_argument);
-  EXPECT_THROW(ServeConfig{}.with_expiry(kMs, /*sweep_batch=*/0),
-               std::invalid_argument);
   EXPECT_THROW(ServeConfig{}.with_expiry_wheel(12, 3), std::invalid_argument);
   EXPECT_THROW(ServeConfig{}.with_expiry_wheel(16, 0), std::invalid_argument);
   // Direct field assignment hits the same gate at server construction.
@@ -193,8 +191,7 @@ TEST(ExpiryServe, StormExpiresEveryLeaseAndCountsReconcile) {
   VirtualClock* clk = &clock;
   ServeConfig cfg = ServeConfig{}
                         .with_workers(2)
-                        .with_expiry(/*resolution_ns=*/1 * kMs,
-                                     /*sweep_batch=*/32, /*max_debt=*/64)
+                        .with_expiry(/*resolution_ns=*/1 * kMs)
                         .with_expiry_wheel(16, 3)
                         .with_expiry_clock(clk);
   Server server(Topology::simulated(2, 4), cfg);

@@ -41,8 +41,7 @@ std::uint64_t tag(std::uint64_t key, std::uint64_t round) {
 TEST(ExpirySoak, SweeperRacesMutatorsWithoutTearing) {
   ServeConfig cfg = ServeConfig{}
                         .with_workers(2)
-                        .with_expiry(/*resolution_ns=*/1 * kMs,
-                                     /*sweep_batch=*/16, /*max_debt=*/64)
+                        .with_expiry(/*resolution_ns=*/1 * kMs)
                         .with_expiry_wheel(/*slots=*/32, /*levels=*/3);
   Server server(Topology::simulated(2, 4), cfg);
 

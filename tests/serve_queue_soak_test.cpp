@@ -204,8 +204,7 @@ TEST(ServeQueueSoak, ShutdownDuringBurstExecutesEveryAcceptedSlice) {
     const ServeConfig cfg = ServeConfig{}
                                 .with_workers(1)
                                 .with_queue_capacity(16)
-                                .with_pin(false)
-                                .with_burst(4);
+                                .with_pin(false);
     WorkerPool<int> pool(
         topo, cfg,
         [&](int, int, int*, std::size_t n) { executed.fetch_add(n); });
@@ -237,8 +236,7 @@ TEST(ServeQueueSoak, BurstKvServerConservesOpsUnderBatchedSubmit) {
   const Topology topo = Topology::simulated(2, 4);
   const ServeConfig cfg = ServeConfig{}
                               .with_workers(2)
-                              .with_queue_capacity(128)
-                              .with_burst(8);
+                              .with_queue_capacity(128);
   KvServer<CohortStarvationFreeLock> server(topo, cfg);
 
   for (std::uint64_t k = 0; k < 1024; ++k) server.map().put(0, k, k * 3);
@@ -493,7 +491,6 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
             .with_widths(1, 4)
             .with_queue_capacity(64)
             .with_pin(false)
-            .with_burst(4)
             .with_park(/*grace_ns=*/20'000)
             .with_admission(/*rate=*/4e6, /*bucket=*/256)
             .with_high_water(48);

@@ -18,7 +18,6 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "src/core/locks.hpp"
@@ -600,15 +599,14 @@ TEST(BoundedMpmcQueue, BulkPopNeverLosesOrDuplicatesUnderProducers) {
 
 TEST(WorkerPool, BurstModeExecutesEverythingWithBulkClaims) {
   const Topology topo = Topology::simulated(2, 4);
-  const ServeConfig cfg =
-      ServeConfig{}.with_workers(2).with_pin(false).with_burst(4);
+  const ServeConfig cfg = ServeConfig{}.with_workers(2).with_pin(false);
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> max_run{0};
   WorkerPool<int> pool(
       topo, cfg,
       [&](int, int, int* items, std::size_t n) {
         ASSERT_GE(n, 1u);
-        ASSERT_LE(n, 4u);  // never exceeds the configured depth
+        ASSERT_LE(n, serve::kBurst);  // never exceeds the claim depth
         std::uint64_t local = 0;
         for (std::size_t i = 0; i < n; ++i)
           local += static_cast<std::uint64_t>(items[i]);
@@ -632,9 +630,33 @@ TEST(WorkerPool, BurstModeExecutesEverythingWithBulkClaims) {
   EXPECT_LE(bursts, static_cast<std::uint64_t>(kItems));  // runs amortize
 }
 
+// A ring smaller than kBurst: each claim holds at most the ring's two
+// cells, and batches far larger than the ring still all execute.
+TEST(WorkerPool, ClaimsFitARingSmallerThanTheBurst) {
+  static_assert(serve::kBurst > 2);
+  const Topology topo = Topology::simulated(1, 2);
+  const ServeConfig cfg =
+      ServeConfig{}.with_workers(1).with_queue_capacity(2).with_pin(false);
+  std::atomic<std::uint64_t> sum{0};
+  WorkerPool<int> pool(topo, cfg, [&](int, int, int* items, std::size_t n) {
+    ASSERT_GE(n, 1u);
+    ASSERT_LE(n, 2u);
+    for (std::size_t i = 0; i < n; ++i)
+      sum.fetch_add(static_cast<std::uint64_t>(items[i]));
+  });
+  std::vector<int> batch(100);
+  for (int i = 0; i < 100; ++i) batch[static_cast<std::size_t>(i)] = i;
+  for (int round = 0; round < 10; ++round)
+    ASSERT_EQ(pool.submit_many(0, batch.data(), batch.size()).published,
+              batch.size());
+  pool.shutdown();
+  EXPECT_EQ(sum.load(), 10u * 99u * 100u / 2u);
+  EXPECT_EQ(pool.executed(0), 1000u);
+}
+
 TEST(WorkerPool, SubmitManyPublishesTheWholeBatch) {
   const Topology topo = Topology::simulated(2, 2);
-  const ServeConfig cfg = ServeConfig{}.with_pin(false).with_burst(8);
+  const ServeConfig cfg = ServeConfig{}.with_pin(false);
   std::atomic<std::uint64_t> sum{0};
   WorkerPool<int> pool(
       topo, cfg,
@@ -670,8 +692,9 @@ TEST(WorkerPool, SubmitManyPublishesTheWholeBatch) {
 // ---- cross-request shard grouping + scatter ---------------------------------
 
 // Deterministic exactness of the burst path: many batched requests with
-// overlapping key sets, executed under every burst depth, must scatter
-// exactly the values the test wrote back to the slot that asked for them.
+// overlapping key sets, published in one submit_many so workers claim them
+// in runs, must scatter exactly the values the test wrote back to the slot
+// that asked for them.
 TEST(KvServer, BurstGroupingScattersExactResults) {
   const Topology topo = Topology::simulated(2, 4);
   constexpr std::uint64_t kKeys = 1024;
@@ -685,67 +708,53 @@ TEST(KvServer, BurstGroupingScattersExactResults) {
     for (std::size_t i = 0; i < kBatch; ++i)
       key_sets[r].push_back((r * 37 + i * 13) % (kKeys + 64));  // some misses
 
-  auto run = [&](std::size_t burst) {
-    const ServeConfig cfg =
-        ServeConfig{}.with_workers(2).with_pin(false).with_burst(burst);
-    KvServer<CohortWriterPriorityLock> server(topo, cfg);
-    for (std::uint64_t k = 0; k < kKeys; ++k) server.put(k, k * 7 + 1);
-    // Submit every request through the batched publish path, then join.
-    std::vector<Request> reqs(kReqs);
-    std::vector<std::vector<std::optional<std::uint64_t>>> outs(kReqs);
-    std::vector<Request*> ptrs;
-    for (std::size_t r = 0; r < kReqs; ++r) {
-      outs[r].assign(kBatch, std::nullopt);
-      reqs[r].kind = RequestKind::kGetBatch;
-      reqs[r].keys = key_sets[r].data();
-      reqs[r].key_count = kBatch;
-      reqs[r].out = outs[r].data();
-      ptrs.push_back(&reqs[r]);
-    }
-    EXPECT_EQ(server.submit_many(ptrs.data(), ptrs.size()),
-              AdmitResult::kAccepted);
-    std::vector<std::uint64_t> hits(kReqs);
-    for (std::size_t r = 0; r < kReqs; ++r) {
-      reqs[r].wait();
-      hits[r] = reqs[r].hits.load(std::memory_order_relaxed);
-    }
-    std::uint64_t gathers = 0, bursts = 0;
-    for (int d = 0; d < server.node_count(); ++d) {
-      gathers += server.node_stats(d).group_gathers;
-      bursts += server.node_stats(d).bursts;
-    }
-    server.shutdown();
-    return std::tuple{outs, hits, gathers, bursts};
-  };
+  const ServeConfig cfg = ServeConfig{}.with_workers(2).with_pin(false);
+  KvServer<CohortWriterPriorityLock> server(topo, cfg);
+  for (std::uint64_t k = 0; k < kKeys; ++k) server.put(k, k * 7 + 1);
+  // Submit every request through the batched publish path, then join.
+  std::vector<Request> reqs(kReqs);
+  std::vector<std::vector<std::optional<std::uint64_t>>> outs(kReqs);
+  std::vector<Request*> ptrs;
+  for (std::size_t r = 0; r < kReqs; ++r) {
+    outs[r].assign(kBatch, std::nullopt);
+    reqs[r].kind = RequestKind::kGetBatch;
+    reqs[r].keys = key_sets[r].data();
+    reqs[r].key_count = kBatch;
+    reqs[r].out = outs[r].data();
+    ptrs.push_back(&reqs[r]);
+  }
+  EXPECT_EQ(server.submit_many(ptrs.data(), ptrs.size()),
+            AdmitResult::kAccepted);
+  for (Request& r : reqs) r.wait();
+  std::uint64_t gathers = 0, claims = 0;
+  for (int d = 0; d < server.node_count(); ++d) {
+    gathers += server.node_stats(d).group_gathers;
+    claims += server.node_stats(d).bursts;
+  }
+  server.shutdown();
+  EXPECT_GT(gathers, 0u);
+  EXPECT_GT(claims, 0u);
 
   // The oracle is the preload itself: key k < kKeys holds k*7+1, every
   // other key is absent.
-  std::vector<std::uint64_t> expect_hits(kReqs, 0);
-  for (std::size_t r = 0; r < kReqs; ++r)
-    for (const std::uint64_t key : key_sets[r]) expect_hits[r] += key < kKeys;
-  for (const std::size_t k : {std::size_t{1}, std::size_t{4},
-                              std::size_t{16}}) {
-    const auto [outK, hitsK, gathersK, burstsK] = run(k);
-    EXPECT_GT(gathersK, 0u);
-    EXPECT_GT(burstsK, 0u);
-    for (std::size_t r = 0; r < kReqs; ++r) {
-      EXPECT_EQ(hitsK[r], expect_hits[r]) << "burst=" << k << " req=" << r;
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        const std::uint64_t key = key_sets[r][i];
-        const std::optional<std::uint64_t> want =
-            key < kKeys ? std::optional<std::uint64_t>(key * 7 + 1)
-                        : std::nullopt;
-        EXPECT_EQ(outK[r][i], want)
-            << "burst=" << k << " req=" << r << " key#" << i;
-      }
+  for (std::size_t r = 0; r < kReqs; ++r) {
+    std::uint64_t expect_hits = 0;
+    for (const std::uint64_t key : key_sets[r]) expect_hits += key < kKeys;
+    EXPECT_EQ(reqs[r].hits.load(std::memory_order_relaxed), expect_hits)
+        << "req=" << r;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const std::uint64_t key = key_sets[r][i];
+      const std::optional<std::uint64_t> want =
+          key < kKeys ? std::optional<std::uint64_t>(key * 7 + 1)
+                      : std::nullopt;
+      EXPECT_EQ(outs[r][i], want) << "req=" << r << " key#" << i;
     }
   }
 }
 
 TEST(KvServer, SubmitManyMixesPointOpsAndBatches) {
   const Topology topo = Topology::simulated(2, 4);
-  const ServeConfig cfg =
-      ServeConfig{}.with_workers(1).with_pin(false).with_burst(8);
+  const ServeConfig cfg = ServeConfig{}.with_workers(1).with_pin(false);
   KvServer<CohortWriterPriorityLock> server(topo, cfg);
 
   // One batched publish carrying puts, gets, a batch, and an erase.
