@@ -23,9 +23,9 @@
 // deadline budget to every request so the server refuses or drops work it
 // cannot finish in time; --retries N allows each op N total attempts with
 // jittered exponential backoff on shed/queue-full refusals (deadline
-// refusals are never retried — the budget is already gone).  --timeout
-// and --retries take non-negative integers; anything else exits 2.
-#include <cerrno>
+// refusals are never retried — the budget is already gone).  The port
+// (0-65535), --timeout and --retries take non-negative integers; anything
+// else exits 2.
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
@@ -34,25 +34,13 @@
 #include <string>
 #include <utility>
 
+#include "examples/cli_args.hpp"
 #include "src/harness/stats.hpp"
 #include "src/harness/table.hpp"
 #include "src/net/loadgen.hpp"
 
-namespace {
-
-// Parses a non-negative decimal integer no larger than `max`; rejects
-// signs, blanks, trailing junk and overflow.
-bool parse_count(const char* s, std::uint64_t max, std::uint64_t* out) {
-  if (*s < '0' || *s > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || *end != '\0' || v > max) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
+using bjrw::examples::parse_count;
+using bjrw::examples::parse_port;
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -105,7 +93,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  cfg.port = static_cast<std::uint16_t>(std::atol(argv[1]));
+  if (!parse_port(argv[1], &cfg.port)) {
+    std::cerr << "kv_loadgen: port must be an integer in [0, 65535]\n";
+    return 2;
+  }
   if (npos > 2) cfg.connections = std::atoi(argv[2]);
   if (npos > 3) cfg.depth = std::atoi(argv[3]);
   if (npos > 4) cfg.requests_per_conn = std::atoi(argv[4]);

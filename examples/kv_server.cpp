@@ -12,8 +12,9 @@
 //   ./kv_server --listen [port] [admit_rate] [--expiry [resolution_ms]]
 //       socket front-end: serve the wire protocol (src/net/wire.hpp) on
 //       127.0.0.1 until SIGINT; port 0 (the default) picks an ephemeral
-//       port and prints it.  admit_rate > 0 arms the per-node token bucket
-//       (ops/s) so overload runs shed instead of queueing.  --expiry arms
+//       port and prints it, and a port outside 0-65535 exits 2.
+//       admit_rate > 0 arms the per-node token bucket (ops/s) so
+//       overload runs shed instead of queueing.  --expiry arms
 //       the lease/TTL subsystem (src/expiry/): TTL'd puts (kPutTtlReq)
 //       schedule leases on the per-node timer wheels and the worker pools'
 //       sweep lane deletes them as they fall due.  Drive it with
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "examples/cli_args.hpp"
 #include "src/harness/table.hpp"
 #include "src/harness/thread_coord.hpp"
 #include "src/harness/timing.hpp"
@@ -152,7 +154,11 @@ int main(int argc, char** argv) {
         break;
       }
     }
-    const long p = npos > 2 ? std::atol(argv[2]) : 0;
+    std::uint16_t port = 0;  // 0: ephemeral
+    if (npos > 2 && !bjrw::examples::parse_port(argv[2], &port)) {
+      std::cerr << "kv_server: port must be an integer in [0, 65535]\n";
+      return 2;
+    }
     // Optional per-node admission rate (ops/s): 0 disables the token
     // bucket.  Drive an overload run with ./kv_loadgen to watch sheds.
     // NaN would read as "off" and infinity has no token arithmetic.
@@ -161,7 +167,7 @@ int main(int argc, char** argv) {
       std::cerr << "kv_server: admit_rate must be finite and >= 0\n";
       return 2;
     }
-    return listen_mode(static_cast<std::uint16_t>(p), rate, expiry_ns);
+    return listen_mode(port, rate, expiry_ns);
   }
   const int clients = argc > 1 ? std::max(1, std::atoi(argv[1])) : 4;
   const int requests = argc > 2 ? std::max(1, std::atoi(argv[2])) : 2000;
@@ -206,8 +212,6 @@ int main(int argc, char** argv) {
     hits.fetch_add(local_hits);
   });
   const double secs = sw.elapsed_s();
-  // Quiesce before reading the stats stripes (server.hpp node_stats
-  // contract: shutdown()'s join orders the workers' final writes).
   server.shutdown();
 
   std::cout << "served " << clients * requests << " ops in "

@@ -84,6 +84,7 @@
 #include "src/core/mw_transform.hpp"
 #include "src/core/mw_writer_pref.hpp"
 #include "src/harness/spin.hpp"
+#include "src/harness/stats.hpp"
 #include "src/harness/topology.hpp"
 #include "src/rmr/provider.hpp"
 
@@ -212,7 +213,7 @@ class CohortLock {
     inner_.write_lock(tid);                // the paper lock arbitrates nodes
     q.owner_tid = tid;
     q.batch = 0;
-    ++q.global_acquires;
+    single_writer_add(q.global_acquires);
   }
 
   void write_unlock(int tid) {
@@ -225,7 +226,7 @@ class CohortLock {
     const bool exhausted = q.batch >= budget_;
     if (!exhausted && successor && !reader_preempted()) {
       ++q.batch;                 // pass the whole batch state to the next
-      ++q.handoffs;
+      single_writer_add(q.handoffs);
       q.handoff = 1;             // local writer: global lock stays held
       // Ledger site C10: the batch-handoff publish — the release half
       // carries every plain NodeQueue field (handoff, owner_tid, batch) to
@@ -236,7 +237,7 @@ class CohortLock {
     // Batch ends.  Reaching here with a non-exhausted budget and a queued
     // successor means reader_preempted() fired — that is the only way the
     // conjunction above fails — so the cut reason is fully determined.
-    if (!exhausted && successor) ++q.preempt_aborts;
+    if (!exhausted && successor) single_writer_add(q.preempt_aborts);
     if constexpr (kReaderPreempt)
       // The release below admits the waiting readers whatever the cut
       // reason, so the advisory flag must not outlive the batch: carried
@@ -269,28 +270,16 @@ class CohortLock {
 
   // Batch statistics: every write CS either inherited by handoff or
   // performed a fresh global acquisition, so handoffs() + global_acquires()
-  // equals the completed write-CS count.  The stripes are plain fields
-  // guarded by the node ticket — deliberately uninstrumented and RMW-free
-  // so statistics cost the hot path nothing — which makes the sums exact at
-  // quiescence (e.g. after joining the worker threads) only.
-  std::uint64_t handoffs() const {
-    std::uint64_t total = 0;
-    for (int d = 0; d < node_count_; ++d) total += queues_[idx(d)].handoffs;
-    return total;
-  }
+  // counts the write CSs entered.  Monotone and safe to read at any time
+  // (see NodeQueue); exact for every write_lock that happens-before the
+  // read.  preempt_aborts() counts batches cut short by a waiting diverted
+  // reader (reader preemption).
+  std::uint64_t handoffs() const { return sum(&NodeQueue::handoffs); }
   std::uint64_t global_acquires() const {
-    std::uint64_t total = 0;
-    for (int d = 0; d < node_count_; ++d)
-      total += queues_[idx(d)].global_acquires;
-    return total;
+    return sum(&NodeQueue::global_acquires);
   }
-  // Batches cut short by a waiting diverted reader (reader preemption);
-  // same quiescence contract as handoffs().
   std::uint64_t preempt_aborts() const {
-    std::uint64_t total = 0;
-    for (int d = 0; d < node_count_; ++d)
-      total += queues_[idx(d)].preempt_aborts;
-    return total;
+    return sum(&NodeQueue::preempt_aborts);
   }
   // The advisory reader-preemption signal is raised and not yet consumed
   // (always false in regimes with preemption disabled).  Like
@@ -329,7 +318,9 @@ class CohortLock {
   // The plain fields are guarded by the ticket protocol: they are accessed
   // only between observing serving == my-ticket and the matching serving
   // increment, whose release/acquire pairing (seq_cst under the default
-  // policy) carries the happens-before edge.
+  // policy) carries the happens-before edge.  So the ticket holder is also
+  // the one writer of the statistics stripes (single_writer_add); they are
+  // std::atomic, not Provider::Atomic: readable live, invisible to RMRs.
   struct alignas(64) NodeQueue {
     NodeQueue() : tickets(0), serving(0) {}
     Atomic<std::int64_t> tickets;
@@ -337,10 +328,17 @@ class CohortLock {
     int handoff = 0;    // next served writer inherits the batch
     int owner_tid = 0;  // tid under which the wrapped lock is held
     int batch = 0;      // handoffs since the leader's acquisition
-    std::uint64_t handoffs = 0;         // statistics stripes (see handoffs())
-    std::uint64_t global_acquires = 0;
-    std::uint64_t preempt_aborts = 0;   // batches ended by reader preemption
+    std::atomic<std::uint64_t> handoffs{0};  // statistics (see handoffs())
+    std::atomic<std::uint64_t> global_acquires{0};
+    std::atomic<std::uint64_t> preempt_aborts{0};
   };
+
+  std::uint64_t sum(std::atomic<std::uint64_t> NodeQueue::*stripe) const {
+    std::uint64_t total = 0;
+    for (int d = 0; d < node_count_; ++d)
+      total += (queues_[idx(d)].*stripe).load(std::memory_order_relaxed);
+    return total;
+  }
   // Per-tid contexts, resolved once at construction (node/slot) and padded
   // so each thread's hot-path line is its own.
   struct alignas(64) ReaderCtx {

@@ -1,6 +1,7 @@
 // Summary statistics for experiment output (latency/throughput/RMR samples).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -25,6 +26,13 @@ struct Summary {
 
 Summary summarize(std::vector<double> samples);
 Summary summarize_u64(const std::vector<std::uint64_t>& samples);
+
+// Adds `n` to a counter only the calling thread writes: a relaxed load +
+// store, no RMW, on a word any thread may read (monotone) at any time.
+inline void single_writer_add(std::atomic<std::uint64_t>& c,
+                              std::uint64_t n = 1) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
 
 // Streaming accumulator (Welford) for cases where storing every sample is
 // wasteful, e.g. per-operation latencies in long benchmark runs.

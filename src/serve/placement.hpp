@@ -256,7 +256,7 @@ class NumaShardedMap {
     return out;
   }
 
-  // ---- aggregate statistics (sub-map quiescence contracts apply) ------------
+  // ---- aggregate statistics (ShardedMap::stats() contract) ------------------
 
   std::size_t size(int /*tid*/ = 0) const {
     std::size_t total = 0;
@@ -276,7 +276,6 @@ class NumaShardedMap {
     }
     return total;
   }
-  MapStats stats_of_node(int node) const { return sub_map(node).stats(); }
 
  private:
   const Topology topo_;

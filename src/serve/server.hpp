@@ -15,9 +15,12 @@
 //
 // Completion is the Request's counting latch; the worker whose decrement
 // completes a request records its latency into the executing node's stats
-// strictly before the latch-releasing decrement.  Server statistics are
-// plain per-worker stripes, exact once the traffic they describe has
-// completed (every stripe write happens-before the client's latch read).
+// strictly before the latch-releasing decrement.  node_stats() is the one
+// stats accessor: every counter is monotone and safe to read at any time
+// (each worker or lock stripe is a relaxed atomic with one writer, bumped
+// by single_writer_add, no RMW; a live read is no cut across fields), and
+// exact for a request once its wait() has returned (every stripe write
+// for it happens-before the client's latch read).
 #pragma once
 
 #include <atomic>
@@ -327,46 +330,32 @@ class KvServer {
   int workers_per_node() const { return pool_.workers_per_node(); }
   int min_width() const { return pool_.min_width(); }
   bool expiry_enabled() const { return cfg_.expiry_enabled; }
-  // Direct wheel access for tests (nullptr when expiry is off).
-  const expiry::TimerWheel* wheel(int node) const {
-    return cfg_.expiry_enabled ? wheels_[idx(node)].get() : nullptr;
-  }
 
-  // The lease counters only, safe to poll while workers run: they are
-  // backed by the wheel's spinlock and the sweeper's atomics.  (The full
-  // node_stats() additionally aggregates plain per-worker stripes and
-  // per-shard cohort counters, which are exact — and race-free — only at
-  // quiescence; tests that watch the sweep make progress poll this.)
-  NodeServeStats lease_stats(int node) const {
-    NodeServeStats out;
-    fill_lease_stats(out, node);
-    return out;
-  }
-
-  // Exact once the traffic it describes has completed: the completing
-  // worker records its latency sample (and every other stripe field)
-  // strictly *before* the latch-releasing decrement, so a client that
-  // observed wait() return reads fully-updated stripes for that request —
-  // no quiescence beyond "my requests returned" is required.
+  // The node's counters; see the stats contract in the header comment.
   NodeServeStats node_stats(int node) const {
     NodeServeStats out;
     out.backpressure = pool_.backpressure(node);
     out.bursts = pool_.bursts(node);
-    StreamingStats latency;
+    std::uint64_t latency_sum_ns = 0, latency_max_ns = 0;
     // workers_in_node, not workers_per_node: a memory-only node spawned no
     // workers and its worker_tid range is empty — iterating the configured
     // width there would read the next node's stripes.
     for (int w = 0; w < pool_.workers_in_node(node); ++w) {
       const WorkerStats& ws = worker_stats_[idx(pool_.worker_tid(node, w))];
-      out.sub_requests += ws.subs;
-      out.ops += ws.ops;
-      out.group_gathers += ws.group_gathers;
-      out.deadline_drops += ws.deadline_drops;
-      latency.merge(ws.latency);
+      out.sub_requests += ws.subs.load(std::memory_order_relaxed);
+      out.ops += ws.ops.load(std::memory_order_relaxed);
+      out.group_gathers += ws.group_gathers.load(std::memory_order_relaxed);
+      out.deadline_drops += ws.deadline_drops.load(std::memory_order_relaxed);
+      out.completed += ws.completed.load(std::memory_order_relaxed);
+      latency_sum_ns += ws.latency_sum_ns.load(std::memory_order_relaxed);
+      const std::uint64_t max_ns =
+          ws.latency_max_ns.load(std::memory_order_relaxed);
+      if (max_ns > latency_max_ns) latency_max_ns = max_ns;
     }
-    out.completed = static_cast<std::uint64_t>(latency.count());
-    out.latency_mean_ns = latency.count() ? latency.mean() : 0.0;
-    out.latency_max_ns = latency.count() ? latency.max() : 0.0;
+    if (out.completed != 0)
+      out.latency_mean_ns = static_cast<double>(latency_sum_ns) /
+                            static_cast<double>(out.completed);
+    out.latency_max_ns = static_cast<double>(latency_max_ns);
     out.shed = admit_[idx(node)].shed.load(std::memory_order_relaxed);
     out.deferred = admit_[idx(node)].deferred.load(std::memory_order_relaxed);
     out.deadline_refused =
@@ -383,13 +372,7 @@ class KvServer {
         out.preempt_aborts += l.preempt_aborts();
       }
     }
-    fill_lease_stats(out, node);
-    return out;
-  }
-
- private:
-  void fill_lease_stats(NodeServeStats& out, int node) const {
-    if (!cfg_.expiry_enabled) return;
+    if (!cfg_.expiry_enabled) return out;
     const expiry::WheelStats w = wheels_[idx(node)]->stats();
     out.leases_scheduled = w.scheduled;
     out.leases_cancelled = w.cancelled;
@@ -400,8 +383,10 @@ class KvServer {
     out.lease_stale_skips =
         w.stale_drops + sweepers_[idx(node)]->stale_skips();
     out.sweep_batches = sweepers_[idx(node)]->sweep_batches();
+    return out;
   }
 
+ private:
   static constexpr bool kLockHasCohortCounters =
       requires(const Lock& l) {
         { l.handoffs() } -> std::convertible_to<std::uint64_t>;
@@ -409,12 +394,15 @@ class KvServer {
         { l.preempt_aborts() } -> std::convertible_to<std::uint64_t>;
       };
 
+  // One stripe per worker, written only by that worker (single_writer_add).
   struct alignas(64) WorkerStats {
-    StreamingStats latency;  // per request completed by this worker
-    std::uint64_t ops = 0;
-    std::uint64_t subs = 0;
-    std::uint64_t group_gathers = 0;  // cross-request get_many_into calls
-    std::uint64_t deadline_drops = 0;  // slices dropped at dequeue
+    std::atomic<std::uint64_t> ops{0};
+    std::atomic<std::uint64_t> subs{0};
+    std::atomic<std::uint64_t> group_gathers{0};  // cross-request gathers
+    std::atomic<std::uint64_t> deadline_drops{0};  // slices dropped at dequeue
+    std::atomic<std::uint64_t> completed{0};  // requests this worker finished
+    std::atomic<std::uint64_t> latency_sum_ns{0};  // ... and their latencies
+    std::atomic<std::uint64_t> latency_max_ns{0};
   };
 
   // Per-node admission state: a token bucket (lazily refilled by
@@ -597,7 +585,7 @@ class KvServer {
   bool drop_if_expired(WorkerStats& ws, Request* req) {
     if (req->deadline_ns == 0 || time_->now_ns() < req->deadline_ns)
       return false;
-    ws.deadline_drops += 1;
+    single_writer_add(ws.deadline_drops);
     req->dropped.fetch_add(1, std::memory_order_relaxed);
     finish(ws, req);
     return true;
@@ -623,7 +611,7 @@ class KvServer {
         } else {
           map_.put(tid, req->key, req->value);
         }
-        ws.ops += 1;
+        single_writer_add(ws.ops);
         break;
       case RequestKind::kTouch:
         if (cfg_.expiry_enabled && req->ttl_ns > 0) {
@@ -634,13 +622,13 @@ class KvServer {
             req->hits.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        ws.ops += 1;
+        single_writer_add(ws.ops);
         break;
       case RequestKind::kErase:
         if (map_.erase(tid, req->key))
           req->hits.fetch_add(1, std::memory_order_relaxed);
         if (cfg_.expiry_enabled) wheels_[idx(s.owner)]->cancel(req->key);
-        ws.ops += 1;
+        single_writer_add(ws.ops);
         break;
       case RequestKind::kGet: {
         const auto v = map_.get(tid, req->keys[0]);
@@ -649,25 +637,29 @@ class KvServer {
           req->value_sum.fetch_add(*v, std::memory_order_relaxed);
         }
         if (req->out) req->out[0] = v;
-        ws.ops += 1;
+        single_writer_add(ws.ops);
         break;
       }
       case RequestKind::kGetBatch:  // execute_burst gathers these
         break;
     }
-    ws.subs += 1;
+    single_writer_add(ws.subs);
     finish(ws, req);
   }
 
   // Shared completion tail.  The completing decrement publishes every
   // result write to the waiting client and releases the client-owned
   // request — the latency sample must land strictly before it so
-  // node_stats() stripes are exact at wait() return; Request::complete_one
-  // carries that ordering.  `req` is never touched after this returns.
+  // node_stats() is exact at wait() return; Request::complete_one carries
+  // that ordering.  `req` is never touched after this returns.
   void finish(WorkerStats& ws, Request* req) {
     const std::uint64_t elapsed_ns = now_ns() - req->submit_ns;
-    req->complete_one(
-        [&] { ws.latency.add(static_cast<double>(elapsed_ns)); });
+    req->complete_one([&] {
+      single_writer_add(ws.completed);
+      single_writer_add(ws.latency_sum_ns, elapsed_ns);
+      if (elapsed_ns > ws.latency_max_ns.load(std::memory_order_relaxed))
+        ws.latency_max_ns.store(elapsed_ns, std::memory_order_relaxed);
+    });
   }
 
   // The worker handler.  Point ops in the claimed run are executed one by
@@ -707,7 +699,7 @@ class KvServer {
       g.got.assign(g.keys.size(), std::nullopt);
       map_.sub_map(static_cast<int>(d))
           .get_many_into(tid, g.keys.data(), g.keys.size(), g.got.data());
-      ws.group_gathers += 1;
+      single_writer_add(ws.group_gathers);
       for (std::size_t j = 0; j < g.slices(); ++j) {
         SubRequest& s = items[g.slice[j]];
         Request* req = s.parent;
@@ -725,8 +717,8 @@ class KvServer {
           req->hits.fetch_add(hits, std::memory_order_relaxed);
           req->value_sum.fetch_add(sum, std::memory_order_relaxed);
         }
-        ws.ops += ge - gb;
-        ws.subs += 1;
+        single_writer_add(ws.ops, ge - gb);
+        single_writer_add(ws.subs);
         finish(ws, req);
       }
     }

@@ -93,8 +93,7 @@ TEST(ExpirySoak, SweeperRacesMutatorsWithoutTearing) {
 
   std::uint64_t scheduled = 0, expired = 0, stale = 0;
   for (int d = 0; d < server.node_count(); ++d) {
-    // lease_stats: the sweeper is still live on the maintenance lane.
-    const NodeServeStats ns = server.lease_stats(d);
+    const NodeServeStats ns = server.node_stats(d);  // sweeper still live
     scheduled += ns.leases_scheduled;
     expired += ns.leases_expired;
     stale += ns.lease_stale_skips;

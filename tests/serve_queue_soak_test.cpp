@@ -5,7 +5,9 @@
 //    match) under sustained full/empty boundary churn;
 //  * WorkerPool + KvServer soak with mixed clients, plus shutdown racing a
 //    full request pipeline: the drain guarantee must hold with queues
-//    deep and workers oversubscribed.
+//    deep and workers oversubscribed;
+//  * node_stats() polled live while the workers run: no data race, every
+//    counter monotone, and exact once the traffic has completed.
 //
 // Deterministic replay: BJRW_TEST_SEED=<uint64> (see prng.hpp test_seed).
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@ namespace {
 using serve::AdmitResult;
 using serve::BoundedMpmcQueue;
 using serve::KvServer;
+using serve::NodeServeStats;
 using serve::Request;
 using serve::RequestKind;
 using serve::ServeConfig;
@@ -563,6 +566,107 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
     ASSERT_EQ(stats_shed, shed.load()) << "round " << round;
     ASSERT_EQ(stats_deferred, deferred.load()) << "round " << round;
   }
+}
+
+TEST(ServeQueueSoak, NodeStatsPolledLiveAreMonotoneAndExactAfterShutdown) {
+  // One thread polls node_stats() on every node while submitters run
+  // batched gets, point puts and TTL puts (expiry on, so the sweep lane
+  // races too).  Every counter must be monotone between polls; once the
+  // traffic has completed the request and op counts are exact.
+  const Topology topo = Topology::simulated(2, 4);
+  KvServer<CohortWriterPriorityLock> server(
+      topo, ServeConfig{}.with_workers(2).with_expiry(/*1 ms*/ 1'000'000));
+  for (std::uint64_t k = 0; k < 512; ++k) server.map().put(0, k, k);
+
+  using Counter = std::uint64_t NodeServeStats::*;
+  static constexpr Counter kCounters[] = {
+      &NodeServeStats::sub_requests,     &NodeServeStats::ops,
+      &NodeServeStats::completed,        &NodeServeStats::backpressure,
+      &NodeServeStats::bursts,           &NodeServeStats::group_gathers,
+      &NodeServeStats::shed,             &NodeServeStats::deferred,
+      &NodeServeStats::parks,            &NodeServeStats::wakes,
+      &NodeServeStats::handoffs,         &NodeServeStats::global_acquires,
+      &NodeServeStats::preempt_aborts,   &NodeServeStats::leases_scheduled,
+      &NodeServeStats::leases_cancelled, &NodeServeStats::leases_expired,
+      &NodeServeStats::lease_stale_skips, &NodeServeStats::sweep_batches,
+      &NodeServeStats::deadline_refused, &NodeServeStats::deadline_drops};
+  const auto nodes = static_cast<std::size_t>(server.node_count());
+  // Field-wise a <= b, latency max included (the mean is a ratio of two
+  // separately read counters, so it may move either way).
+  const auto monotone = [](const NodeServeStats& a, const NodeServeStats& b) {
+    for (const Counter c : kCounters)
+      if (a.*c > b.*c) return false;
+    return a.latency_max_ns <= b.latency_max_ns;
+  };
+
+  constexpr int kClients = 3;
+  constexpr int kRequests = 1200;
+  constexpr std::size_t kBatch = 8;
+  std::atomic<int> clients_live{kClients};
+  std::atomic<std::uint64_t> requests{0}, keys{0}, point_ops{0}, puts{0};
+  std::vector<NodeServeStats> last(nodes);
+  std::uint64_t polls = 0, regressions = 0;
+  run_threads(kClients + 1, [&](std::size_t t) {
+    if (t == kClients) {
+      do {
+        for (std::size_t d = 0; d < nodes; ++d) {
+          const NodeServeStats now = server.node_stats(static_cast<int>(d));
+          if (!monotone(last[d], now)) ++regressions;
+          last[d] = now;
+        }
+        ++polls;
+      } while (clients_live.load() > 0);
+      return;
+    }
+    Xoshiro256 rng(test_seed(t + 900));
+    std::vector<std::uint64_t> batch(kBatch);
+    std::uint64_t n_keys = 0, n_points = 0, n_puts = 0;
+    for (int i = 0; i < kRequests; ++i) {
+      const std::uint64_t key = rng.next() % 1024;
+      switch (rng.next() % 4) {
+        case 0:
+          server.put(key, key + 1);
+          ++n_points;
+          ++n_puts;
+          break;
+        case 1:  // 1-4 ms lease: sweeps run while the poller watches
+          server.put_with_ttl(key, key + 1, (1 + rng.next() % 4) * 1'000'000);
+          ++n_points;
+          ++n_puts;
+          break;
+        default:
+          for (auto& k : batch) k = rng.next() % 1024;
+          server.get_many(batch);
+          n_keys += kBatch;
+          break;
+      }
+    }
+    requests.fetch_add(static_cast<std::uint64_t>(kRequests));
+    keys.fetch_add(n_keys);
+    point_ops.fetch_add(n_points);
+    puts.fetch_add(n_puts);
+    clients_live.fetch_sub(1);
+  });
+  server.shutdown();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(regressions, 0u) << "a counter went backwards between polls";
+  NodeServeStats total;
+  for (std::size_t d = 0; d < nodes; ++d) {
+    const NodeServeStats ns = server.node_stats(static_cast<int>(d));
+    EXPECT_TRUE(monotone(last[d], ns)) << "node " << d;
+    total.completed += ns.completed;
+    total.ops += ns.ops;
+    total.handoffs += ns.handoffs;
+    total.global_acquires += ns.global_acquires;
+    total.leases_scheduled += ns.leases_scheduled;
+  }
+  EXPECT_EQ(total.completed, requests.load());
+  EXPECT_EQ(total.ops, keys.load() + point_ops.load());
+  // Every put takes a shard write lock; the preload and the expiry sweeps
+  // take more, so this arm is a bound, not an equality.
+  EXPECT_GE(total.handoffs + total.global_acquires, puts.load());
+  EXPECT_GT(total.leases_scheduled, 0u);
 }
 
 }  // namespace
