@@ -45,7 +45,7 @@ constexpr std::size_t kBatch = 8;
 constexpr std::uint64_t kPreload = 1 << 13;
 constexpr std::uint64_t kTrickleGapNs = 200'000;  // per client per request
 
-// The E18/E20 idiom: the simulated cohort shape is baked into the lock type.
+// The E18 idiom: the simulated cohort shape is baked into the lock type.
 struct SimCohortWp2x4 : CohortMwWriterPrefLock<> {
   explicit SimCohortWp2x4(int n)
       : CohortMwWriterPrefLock<>(n,

@@ -50,7 +50,7 @@ constexpr std::uint64_t kStormTtlNs = 2 * kMs;
 // --seconds smoke would otherwise shut down before the first deadline).
 constexpr std::uint64_t kMinWallNs = 100 * kMs;
 
-// The E18/E20/E21 idiom: the simulated cohort shape baked into the lock.
+// The E18/E21 idiom: the simulated cohort shape baked into the lock.
 struct SimCohortWp2x4 : CohortMwWriterPrefLock<> {
   explicit SimCohortWp2x4(int n)
       : CohortMwWriterPrefLock<>(n,

@@ -1,9 +1,7 @@
 // Example: wire-protocol load generator for `kv_server --listen`.
 //
 // Drives configurable connections × in-flight depth × zipfian mixes
-// against a NetServer and reports RPS / ops/s / latency percentiles —
-// the CLI face of the same driver bench_net_serve (E20) uses, so ad-hoc
-// runs and the tracked bench rows measure identically.
+// against a NetServer and reports RPS / ops/s / latency percentiles.
 //
 // Run:
 //   ./kv_server --listen 7711         # terminal 1
@@ -23,9 +21,15 @@
 // deadline budget to every request so the server refuses or drops work it
 // cannot finish in time; --retries N allows each op N total attempts with
 // jittered exponential backoff on shed/queue-full refusals (deadline
-// refusals are never retried — the budget is already gone).  The port
-// (0-65535), --timeout and --retries take non-negative integers; anything
-// else exits 2.
+// refusals are never retried — the budget is already gone).
+//
+// Every argument is parsed strictly, and a bad one exits 2 before any
+// connection opens: the port is an integer in [0, 65535]; connections and
+// depth integers in [1, 1024] (each connection is a thread);
+// requests_per_conn an integer >= 1; read_frac and the --ttl fraction
+// finite numbers in [0, 1]; --ttl's ttl_ms and --deadline finite
+// milliseconds >= 0; --timeout and --retries non-negative integers.
+// Positionals come before the flags.
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
@@ -40,7 +44,13 @@
 #include "src/net/loadgen.hpp"
 
 using bjrw::examples::parse_count;
+using bjrw::examples::parse_fraction;
+using bjrw::examples::parse_int;
+using bjrw::examples::parse_ms_as_ns;
 using bjrw::examples::parse_port;
+
+constexpr int kMaxConnections = 1024;
+constexpr int kMaxDepth = 1024;
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -51,10 +61,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   bjrw::net::LoadgenConfig cfg;
-  // Flags first (they may appear after the positionals), then positionals.
+  const auto bad = [](const char* what) {
+    std::cerr << "kv_loadgen: " << what << "\n";
+    return 2;
+  };
+  // Flags first (they follow the positionals), then positionals.
   int npos = argc;
   for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-') continue;
+    if (argv[i][0] != '-') {
+      if (npos == argc) continue;
+      return bad("positional arguments must come before the flags");
+    }
     if (npos == argc) npos = i;  // positionals stop at the first flag
     const auto need = [&](int extra, const char* what) {
       if (i + extra < argc) return true;
@@ -63,44 +80,43 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--ttl") == 0) {
       if (!need(2, "<fraction> <ttl_ms>")) return 2;
-      cfg.mix.ttl_fraction = std::atof(argv[i + 1]);
-      cfg.mix.ttl_ns =
-          static_cast<std::uint64_t>(std::atof(argv[i + 2]) * 1e6);
+      if (!parse_fraction(argv[i + 1], &cfg.mix.ttl_fraction))
+        return bad("--ttl fraction must be a finite number in [0, 1]");
+      if (!parse_ms_as_ns(argv[i + 2], &cfg.mix.ttl_ns))
+        return bad("--ttl ttl_ms must be finite, >= 0 and below 2^64 ns");
       i += 2;
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
       if (!need(1, "<ms>")) return 2;
-      if (!parse_count(argv[i + 1], UINT64_MAX, &cfg.client.op_timeout_ms)) {
-        std::cerr << "kv_loadgen: --timeout needs a non-negative integer\n";
-        return 2;
-      }
+      if (!parse_count(argv[i + 1], UINT64_MAX, &cfg.client.op_timeout_ms))
+        return bad("--timeout must be a non-negative integer");
       i += 1;
     } else if (std::strcmp(argv[i], "--deadline") == 0) {
       if (!need(1, "<ms>")) return 2;
-      cfg.client.deadline_budget_ns =
-          static_cast<std::uint64_t>(std::atof(argv[i + 1]) * 1e6);
+      if (!parse_ms_as_ns(argv[i + 1], &cfg.client.deadline_budget_ns))
+        return bad("--deadline must be finite, >= 0 and below 2^64 ns");
       i += 1;
     } else if (std::strcmp(argv[i], "--retries") == 0) {
       if (!need(1, "<n>")) return 2;
-      std::uint64_t n = 0;
-      if (!parse_count(argv[i + 1], INT_MAX, &n)) {
-        std::cerr << "kv_loadgen: --retries needs a non-negative integer\n";
-        return 2;
-      }
-      cfg.client.retry.max_attempts = static_cast<int>(n);
+      if (!parse_int(argv[i + 1], 0, INT_MAX,
+                     &cfg.client.retry.max_attempts))
+        return bad("--retries must be a non-negative integer");
       i += 1;
     } else {
       std::cerr << "kv_loadgen: unknown flag " << argv[i] << "\n";
       return 2;
     }
   }
-  if (!parse_port(argv[1], &cfg.port)) {
-    std::cerr << "kv_loadgen: port must be an integer in [0, 65535]\n";
-    return 2;
-  }
-  if (npos > 2) cfg.connections = std::atoi(argv[2]);
-  if (npos > 3) cfg.depth = std::atoi(argv[3]);
-  if (npos > 4) cfg.requests_per_conn = std::atoi(argv[4]);
-  if (npos > 5) cfg.mix.read_fraction = std::atof(argv[5]);
+  if (!parse_port(argv[1], &cfg.port))
+    return bad("port must be an integer in [0, 65535]");
+  if (npos > 6) return bad("too many positional arguments (at most 5)");
+  if (npos > 2 && !parse_int(argv[2], 1, kMaxConnections, &cfg.connections))
+    return bad("connections must be an integer in [1, 1024]");
+  if (npos > 3 && !parse_int(argv[3], 1, kMaxDepth, &cfg.depth))
+    return bad("depth must be an integer in [1, 1024]");
+  if (npos > 4 && !parse_int(argv[4], 1, INT_MAX, &cfg.requests_per_conn))
+    return bad("requests_per_conn must be a positive integer");
+  if (npos > 5 && !parse_fraction(argv[5], &cfg.mix.read_fraction))
+    return bad("read_fraction must be a finite number in [0, 1]");
   if (const char* seed = std::getenv("BJRW_TEST_SEED"))
     cfg.mix.seed = static_cast<std::uint64_t>(std::strtoull(seed, nullptr, 0));
 

@@ -16,8 +16,8 @@
 //    so the per-shard lock is selectable per deployment: the default
 //    `WriterPriorityLock` (Theorem 5) keeps bursts of updates from being
 //    starved by lookup floods; `DistWriterPriorityLock` makes the lookup
-//    fast path a purely local operation for read-mostly serving (E16
-//    measures the difference).
+//    fast path a purely local operation for read-mostly serving (E15 and
+//    E17 measure the difference).
 //
 //  * Striped statistics, striped the same way the load is: hit/miss
 //    counters (bumped on the *read* path) are striped per thread — each
@@ -30,7 +30,7 @@
 //
 //  * Bulk lookups: `get_many` groups keys by shard and takes each shard's
 //    read lock once per batch, amortizing lock traffic for the
-//    multi-get-heavy serving workloads E16 models.
+//    multi-get-heavy serving workloads (perfbench's read_batch).
 //
 //  * Leases (src/expiry/): every entry carries a shard-monotone version
 //    and an optional expiry deadline.  `put_versioned`/`touch_version`

@@ -85,17 +85,19 @@ enum class ClientError : std::uint8_t {
   kProtocol,  // unparseable frame from a trusted server
 };
 
+// Backoff cap, and the share of the delay a kQueueFull refusal waits (a
+// draining queue recovers faster than an empty token bucket).
+inline constexpr std::uint64_t kMaxBackoffNs = 64'000'000;  // 64ms
+inline constexpr double kQueueFullScale = 0.25;
+
 // Backoff/retry shape applied by KvClient::settle.  Attempt k (0-based)
-// that was refused sleeps base_backoff_ns * 2^k, clamped to
-// max_backoff_ns, scaled by queue_full_scale when the refusal was
-// kQueueFull (a draining queue recovers faster than an empty token
-// bucket), and jittered uniformly into [0.5, 1.0) of itself so a fleet of
-// clients refused together does not retry together.
+// that was refused sleeps base_backoff_ns * 2^k, clamped to kMaxBackoffNs,
+// scaled by kQueueFullScale when the refusal was kQueueFull, and jittered
+// uniformly into [0.5, 1.0) of itself so a fleet of clients refused
+// together does not retry together.
 struct RetryPolicy {
   int max_attempts = 3;                        // total tries per op
   std::uint64_t base_backoff_ns = 1'000'000;   // 1ms
-  std::uint64_t max_backoff_ns = 64'000'000;   // 64ms cap
-  double queue_full_scale = 0.25;              // kQueueFull retries sooner
   bool reconnect = true;                       // reopen after reset/timeout
   std::uint64_t seed = 0x5eedULL;              // jitter stream
 };
@@ -360,11 +362,11 @@ class KvClient {
   // Sleeps the policy's backoff for attempt `k` refused with `status`.
   void backoff(int k, WireStatus status) {
     std::uint64_t ns = cfg_.retry.base_backoff_ns;
-    for (int i = 0; i < k && ns < cfg_.retry.max_backoff_ns; ++i) ns *= 2;
-    if (ns > cfg_.retry.max_backoff_ns) ns = cfg_.retry.max_backoff_ns;
+    for (int i = 0; i < k && ns < kMaxBackoffNs; ++i) ns *= 2;
+    if (ns > kMaxBackoffNs) ns = kMaxBackoffNs;
     if (status == WireStatus::kQueueFull) {
       ns = static_cast<std::uint64_t>(static_cast<double>(ns) *
-                                      cfg_.retry.queue_full_scale);
+                                      kQueueFullScale);
     }
     const double j = 0.5 + jitter_.uniform01() * 0.5;  // [0.5, 1.0)
     ns = static_cast<std::uint64_t>(static_cast<double>(ns) * j);

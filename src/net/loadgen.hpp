@@ -1,8 +1,5 @@
-// Load-generator driver shared by bench_net_serve (E20) and the
-// examples/kv_loadgen CLI: N connections × in-flight depth D × the same
-// zipfian serve mix the in-process E18 rows use (ServeStream), so a
-// loopback row and an in-process row measure the identical operation
-// sequence and differ only by the wire.
+// Load-generator driver behind the examples/kv_loadgen CLI: N connections
+// × in-flight depth D × the zipfian serve mix (ServeStream).
 //
 // Each connection is one thread driving a blocking KvClient with explicit
 // pipelining: it primes `depth` requests, then recv-one/send-one to hold
@@ -84,8 +81,7 @@ inline std::vector<WireOp> make_ops(const LoadgenConfig& cfg,
   // more can be left behind in an abandoned partial batch when the last
   // request completes — so this bound is exact.  Sizing it short would not
   // fail loudly: ServeStream::at wraps modulo, silently replaying the
-  // stream head and breaking the "identical pre-generated op mix"
-  // guarantee the E20 rows compare under.
+  // stream head.
   const std::size_t b = cfg.batch > 0 ? cfg.batch : 1;
   const std::size_t draw =
       static_cast<std::size_t>(cfg.requests_per_conn) * b + b - 1;

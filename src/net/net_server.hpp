@@ -73,11 +73,12 @@ namespace bjrw::net {
 // instead of one per frame.  This caps the stage depth.
 inline constexpr std::size_t kSubmitBatch = 16;
 
+// listen(2) backlog, and the in-flight depth bound per connection.
+inline constexpr int kListenBacklog = 128;
+inline constexpr std::size_t kSlotsPerConnection = 64;
+
 struct NetServerConfig {
   std::uint16_t port = 0;        // 0 = ephemeral; see NetServer::port()
-  int backlog = 128;
-  std::size_t max_frame = kDefaultMaxFrame;
-  std::size_t slots_per_connection = 64;  // in-flight depth bound
 };
 
 template <ReaderWriterLock Lock>
@@ -88,8 +89,7 @@ class NetServer {
   // Binds 127.0.0.1:<port>, spawns the event-loop thread.  `kv` must
   // outlive the NetServer.  Failure to bind/listen leaves ok() false and
   // the server inert (no thread).
-  NetServer(Kv& kv, NetServerConfig cfg = {}) : kv_(kv), cfg_(cfg) {
-    if (cfg_.slots_per_connection < 1) cfg_.slots_per_connection = 1;
+  NetServer(Kv& kv, NetServerConfig cfg = {}) : kv_(kv) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listen_fd_ < 0) return;
     int one = 1;
@@ -97,10 +97,10 @@ class NetServer {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(cfg_.port);
+    addr.sin_port = htons(cfg.port);
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
                sizeof addr) != 0 ||
-        ::listen(listen_fd_, cfg_.backlog) != 0) {
+        ::listen(listen_fd_, kListenBacklog) != 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
       return;
@@ -289,8 +289,8 @@ class NetServer {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       auto conn = std::make_unique<Connection>();
       conn->fd = fd;
-      conn->pool.reserve(cfg_.slots_per_connection);
-      for (std::size_t s = 0; s < cfg_.slots_per_connection; ++s) {
+      conn->pool.reserve(kSlotsPerConnection);
+      for (std::size_t s = 0; s < kSlotsPerConnection; ++s) {
         conn->pool.push_back(std::make_unique<Slot>());
         conn->free_slots.push_back(conn->pool.back().get());
       }
@@ -409,7 +409,7 @@ class NetServer {
           (static_cast<std::uint32_t>(p[0]) << 24) |
           (static_cast<std::uint32_t>(p[1]) << 16) |
           (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-      if (flen > cfg_.max_frame) {
+      if (flen > kDefaultMaxFrame) {
         // The reader will not buffer this frame, so the stream cannot be
         // resynchronized: answer and close.  Publish the staged work first
         // — begin_drain only waits on in_flight, not the stage.
@@ -812,7 +812,6 @@ class NetServer {
   }
 
   Kv& kv_;
-  NetServerConfig cfg_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

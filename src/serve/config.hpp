@@ -86,16 +86,13 @@ struct ServeConfig {
   std::uint64_t expiry_resolution_ns = 1'000'000;  // 1ms
   std::size_t expiry_wheel_slots = 256;  // per level; power of two
   int expiry_wheel_levels = 3;           // spans slots^levels * resolution
-  // Lease-time source; nullptr = steady clock.  Tests inject a VirtualClock
-  // to drive wheel cascade and sweep choreography tick-by-tick.  Not owned;
-  // must outlive the server.
-  const ClockSource* expiry_clock = nullptr;
 
-  // ---- deadlines ------------------------------------------------------------
-  // Time source for Request::deadline_ns checks (admission edge + worker
-  // dequeue); nullptr = steady clock.  Kept separate from expiry_clock so
-  // deadline tests can drive a VirtualClock without also rewiring lease
-  // semantics.  Not owned; must outlive the server.
+  // ---- time -----------------------------------------------------------------
+  // The one time source for lease expiry (wheel ticks, read-path filter)
+  // and for Request::deadline_ns checks (admission edge + worker dequeue);
+  // nullptr = steady clock.  Tests inject a VirtualClock to drive wheel
+  // cascade, sweeps and in-queue deadline expiry step by step.  Not owned;
+  // must outlive the server.
   const ClockSource* clock = nullptr;
 
   // ---- fluent validated setters ---------------------------------------------
@@ -159,10 +156,6 @@ struct ServeConfig {
     if (levels < 1 || levels > 8) fail("expiry_wheel_levels must be in [1, 8]");
     expiry_wheel_slots = slots;
     expiry_wheel_levels = levels;
-    return *this;
-  }
-  ServeConfig& with_expiry_clock(const ClockSource* source) {
-    expiry_clock = source;
     return *this;
   }
   ServeConfig& with_clock(const ClockSource* source) {

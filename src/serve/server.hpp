@@ -86,12 +86,11 @@ class KvServer {
 
   explicit KvServer(const Topology& topo, ServeConfig cfg = {})
       : cfg_(cfg.validate()),
-        clock_(cfg_.expiry_enabled
-                   ? (cfg_.expiry_clock ? cfg_.expiry_clock
-                                        : &SteadyClockSource::instance())
-                   : nullptr),
-        time_(cfg_.clock ? cfg_.clock : &SteadyClockSource::instance()),
-        map_(topo, cfg_.shards_per_node, cfg_.node_local_alloc, clock_),
+        clock_(cfg_.clock ? cfg_.clock : &SteadyClockSource::instance()),
+        // The map sees a clock only when expiry is armed, so its read-path
+        // lease filter stays off otherwise.
+        map_(topo, cfg_.shards_per_node, cfg_.node_local_alloc,
+             cfg_.expiry_enabled ? clock_ : nullptr),
         worker_stats_(std::make_unique<WorkerStats[]>(
             static_cast<std::size_t>(map_.max_threads()))),
         admit_(std::make_unique<AdmitState[]>(
@@ -316,11 +315,11 @@ class KvServer {
   const Map& map() const { return map_; }
 
   const ServeConfig& config() const { return cfg_; }
-  // The deadline time source's current reading — the front-end converts
+  // The server clock's current reading — the front-end converts
   // relative wire budgets to absolute Request::deadline_ns against this,
   // so client budgets and server checks share one timeline (virtual in
   // tests, steady otherwise).
-  std::uint64_t time_now_ns() const { return time_->now_ns(); }
+  std::uint64_t time_now_ns() const { return clock_->now_ns(); }
   int node_count() const { return map_.node_count(); }
   // Instantaneous accepted-but-unclaimed depth of a node's queue; tests
   // use it to sequence wedge choreography (the high-water probe reads the
@@ -500,7 +499,7 @@ class KvServer {
   // only when the request will actually be enqueued (modulo the
   // all-or-nothing refund in submit_many).
   AdmitResult admit(int dn, std::uint64_t cost, std::uint64_t deadline_ns) {
-    if (deadline_ns != 0 && time_->now_ns() >= deadline_ns) {
+    if (deadline_ns != 0 && clock_->now_ns() >= deadline_ns) {
       admit_[idx(dn)].deadline_refused.fetch_add(1,
                                                  std::memory_order_relaxed);
       return AdmitResult::kDeadlineExceeded;
@@ -583,7 +582,7 @@ class KvServer {
   // side nothing ran, and the worker stripe records the drop.  True when
   // the slice was consumed here.
   bool drop_if_expired(WorkerStats& ws, Request* req) {
-    if (req->deadline_ns == 0 || time_->now_ns() < req->deadline_ns)
+    if (req->deadline_ns == 0 || clock_->now_ns() < req->deadline_ns)
       return false;
     single_writer_add(ws.deadline_drops);
     req->dropped.fetch_add(1, std::memory_order_relaxed);
@@ -725,10 +724,9 @@ class KvServer {
   }
 
   ServeConfig cfg_;
-  // Lease-time source (null when expiry is off); not owned.
+  // Lease and deadline time source; always non-null (steady unless
+  // cfg.clock); not owned.
   const ClockSource* clock_;
-  // Deadline-time source; always non-null (steady unless cfg.clock).
-  const ClockSource* time_;
   Map map_;
   std::unique_ptr<WorkerStats[]> worker_stats_;  // indexed by pool tid
   std::unique_ptr<AdmitState[]> admit_;          // indexed by node

@@ -145,7 +145,7 @@ struct WireFixture {
                                           .with_workers(1)
                                           .with_pin(false)
                                           .with_clock(&clock)),
-        net(kv, {}) {}
+        net(kv) {}
 };
 
 // Wedges the worker, runs one op with a deadline budget through a client,
@@ -230,7 +230,7 @@ TEST(DeadlineServe, LoadgenNeverRetriesDeadlineRefusals) {
   KvServer<WriterPriorityLock> kv(
       Topology::simulated(1, 2),
       ServeConfig{}.with_workers(1).with_pin(false).with_clock(&clock));
-  NetSrv net(kv, {});
+  NetSrv net(kv);
   ASSERT_TRUE(net.ok());
   net::LoadgenConfig cfg;
   cfg.port = net.port();

@@ -36,7 +36,7 @@ ServeConfig expiry_config(const ClockSource* clock) {
       .with_workers(2)
       .with_expiry(/*resolution_ns=*/1 * kMs)
       .with_expiry_wheel(/*slots=*/16, /*levels=*/3)
-      .with_expiry_clock(clock);
+      .with_clock(clock);
 }
 
 // Sums a lease-counter field across nodes (polled while the workers run).
@@ -190,7 +190,7 @@ TEST(ExpiryServe, StormExpiresEveryLeaseAndCountsReconcile) {
                         .with_workers(2)
                         .with_expiry(/*resolution_ns=*/1 * kMs)
                         .with_expiry_wheel(16, 3)
-                        .with_expiry_clock(clk);
+                        .with_clock(clk);
   Server server(Topology::simulated(2, 4), cfg);
 
   constexpr std::uint64_t kKeys = 500;

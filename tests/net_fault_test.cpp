@@ -40,9 +40,8 @@ struct Loopback {
   Server kv;
   NetServer<CohortWriterPriorityLock> net;
 
-  explicit Loopback(NetServerConfig ncfg = {},
-                    serve::ServeConfig scfg = server_config())
-      : kv(Topology::simulated(2, 4), scfg), net(kv, ncfg) {}
+  explicit Loopback(serve::ServeConfig scfg = server_config())
+      : kv(Topology::simulated(2, 4), scfg), net(kv) {}
 
   static serve::ServeConfig server_config() {
     return serve::ServeConfig{}.with_workers(2);
@@ -283,8 +282,8 @@ TEST(NetFault, LoadgenRetriesShedOpsWithinTheirBudget) {
   // A 16-token bucket per node that never refills in test time: the first
   // ops are admitted, the rest shed and are retried until their attempts
   // run out.  Refusals are flow control, so every connection finishes.
-  Loopback lb({}, Loopback::server_config().with_admission(/*rate=*/1e-3,
-                                                           /*bucket=*/16));
+  Loopback lb(Loopback::server_config().with_admission(/*rate=*/1e-3,
+                                                       /*bucket=*/16));
   ASSERT_TRUE(lb.net.ok());
   LoadgenConfig cfg;
   cfg.port = lb.net.port();

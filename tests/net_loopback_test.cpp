@@ -32,9 +32,8 @@ struct Loopback {
   Server kv;
   NetServer<CohortWriterPriorityLock> net;
 
-  explicit Loopback(NetServerConfig ncfg = {},
-                    serve::ServeConfig scfg = server_config())
-      : kv(Topology::simulated(2, 4), scfg), net(kv, ncfg) {}
+  explicit Loopback(serve::ServeConfig scfg = server_config())
+      : kv(Topology::simulated(2, 4), scfg), net(kv) {}
 
   static serve::ServeConfig server_config() {
     return serve::ServeConfig{}.with_workers(2);
@@ -141,17 +140,16 @@ TEST(NetLoopback, PipelinedResponsesCorrelateById) {
 }
 
 TEST(NetLoopback, OversizedFrameIsRejectedAndConnectionClosed) {
-  NetServerConfig ncfg;
-  ncfg.max_frame = 256;
-  Loopback lb(ncfg);
+  Loopback lb;
   ASSERT_TRUE(lb.net.ok());
   KvClient c = lb.client();
 
-  // A frame whose length prefix exceeds the ceiling: the server answers
-  // kFrameTooLarge and closes (the stream cannot be resynchronized).
-  std::vector<std::uint64_t> keys(64, 1);  // 16 + 4 + 512 bytes > 256
-  c.submit_get_many(keys.data(), static_cast<std::uint32_t>(keys.size()));
-  ASSERT_TRUE(c.flush());
+  // A length prefix above the ceiling: the server answers kFrameTooLarge
+  // on the prefix alone and closes (the stream cannot be resynchronized),
+  // so no body follows it.
+  PackBuffer b;
+  b.put_u32(static_cast<std::uint32_t>(kDefaultMaxFrame + 1));
+  ASSERT_TRUE(c.send_raw(b.data(), b.size()));
   Response r;
   ASSERT_TRUE(c.recv_response(&r));
   EXPECT_EQ(r.type, MsgType::kErrorResp);
@@ -246,7 +244,7 @@ TEST(NetLoopback, AdmissionShedIsTypedAndConnectionKeepsServing) {
                                       .with_workers(2)
                                       .with_admission(/*rate=*/1e-3,
                                                       /*bucket=*/2);
-  Loopback lb({}, scfg);
+  Loopback lb(scfg);
   ASSERT_TRUE(lb.net.ok());
 
   // Keys owned by node 0 only, so every op drains the same bucket.
@@ -312,9 +310,8 @@ TEST(NetLoopback, TtlPutAndTouchRoundtripOverTheWire) {
   // An expiry-enabled server: put_ttl answers with a
   // plain kPutResp, touch with kTouchResp, and a short lease actually
   // expires (real steady clock; generous poll window).
-  Loopback lb(NetServerConfig{},
-              Loopback::server_config().with_expiry(
-                  /*resolution_ns=*/1'000'000));
+  Loopback lb(
+      Loopback::server_config().with_expiry(/*resolution_ns=*/1'000'000));
   ASSERT_TRUE(lb.net.ok());
   KvClient c = lb.client();
 
@@ -341,8 +338,7 @@ TEST(NetLoopback, EveryOpTypeRoundTripsWithAndWithoutBudget) {
   // The whole request vocabulary against one server: point ops, TTL'd put
   // and touch, then the same ops from a client whose every frame carries a
   // deadline budget.
-  Loopback lb(NetServerConfig{},
-              Loopback::server_config().with_expiry(1'000'000));
+  Loopback lb(Loopback::server_config().with_expiry(1'000'000));
   ASSERT_TRUE(lb.net.ok());
   KvClient c = lb.client();
   constexpr std::uint64_t kKey = 1000;
