@@ -65,7 +65,7 @@ serve::ServeConfig arm_config(bool elastic) {
 
 struct ArmResult {
   std::uint64_t requests = 0;  // offered wire-level requests
-  std::uint64_t accepted = 0, shed = 0, deferred = 0;
+  std::uint64_t accepted = 0, shed = 0;
   std::uint64_t ops = 0;  // keys admitted (accepted requests only)
   std::uint64_t parks = 0, wakes = 0;
   double wall_s = 0.0;
@@ -90,13 +90,12 @@ ArmResult run_arm(BenchContext& ctx, const serve::ServeConfig& scfg,
   for (std::size_t c = 0; c < clients; ++c)
     streams.emplace_back(mix, static_cast<std::uint64_t>(c), per_client);
 
-  std::atomic<std::uint64_t> requests{0}, accepted{0}, shed{0}, deferred{0},
-      ops{0};
+  std::atomic<std::uint64_t> requests{0}, accepted{0}, shed{0}, ops{0};
   std::mutex mu;
   std::vector<double> latencies;
   Stopwatch sw;
   run_threads(clients, [&](std::size_t c) {
-    std::uint64_t my_req = 0, my_acc = 0, my_shed = 0, my_def = 0, my_ops = 0;
+    std::uint64_t my_req = 0, my_acc = 0, my_shed = 0, my_ops = 0;
     std::vector<double> local;
     local.reserve(per_client);
     std::vector<std::uint64_t> batch;
@@ -118,9 +117,6 @@ ArmResult run_arm(BenchContext& ctx, const serve::ServeConfig& scfg,
           break;
         case serve::AdmitResult::kShedOverload:
           ++my_shed;
-          break;
-        case serve::AdmitResult::kQueueFull:
-          ++my_def;
           break;
         case serve::AdmitResult::kDeadlineExceeded:
           break;  // unreachable: these arms send no deadlines
@@ -159,7 +155,6 @@ ArmResult run_arm(BenchContext& ctx, const serve::ServeConfig& scfg,
     requests.fetch_add(my_req);
     accepted.fetch_add(my_acc);
     shed.fetch_add(my_shed);
-    deferred.fetch_add(my_def);
     ops.fetch_add(my_ops);
     const std::lock_guard<std::mutex> g(mu);
     latencies.insert(latencies.end(), local.begin(), local.end());
@@ -175,7 +170,6 @@ ArmResult run_arm(BenchContext& ctx, const serve::ServeConfig& scfg,
   r.requests = requests.load();
   r.accepted = accepted.load();
   r.shed = shed.load();
-  r.deferred = deferred.load();
   r.ops = ops.load();
   r.lat = summarize(std::move(latencies));
   return r;
@@ -184,21 +178,18 @@ ArmResult run_arm(BenchContext& ctx, const serve::ServeConfig& scfg,
 void report(BenchContext& ctx, Table& t, const std::string& name,
             const ArmResult& r) {
   const double mops = static_cast<double>(r.ops) / r.wall_s / 1e6;
-  const double shed_rate =
-      r.requests ? static_cast<double>(r.shed + r.deferred) /
-                       static_cast<double>(r.requests)
-                 : 0.0;
+  const double shed_rate = r.requests ? static_cast<double>(r.shed) /
+                                            static_cast<double>(r.requests)
+                                      : 0.0;
   t.add_row({name, std::to_string(r.requests), std::to_string(r.accepted),
-             std::to_string(r.shed), std::to_string(r.deferred),
-             Table::cell(mops, 3), Table::cell(r.lat.p50 / 1e3, 1),
-             Table::cell(r.lat.p99 / 1e3, 1), std::to_string(r.parks),
-             std::to_string(r.wakes)});
+             std::to_string(r.shed), Table::cell(mops, 3),
+             Table::cell(r.lat.p50 / 1e3, 1), Table::cell(r.lat.p99 / 1e3, 1),
+             std::to_string(r.parks), std::to_string(r.wakes)});
   ctx.row(name)
       .metric("threads", ctx.params().threads)
       .metric("requests", static_cast<double>(r.requests))
       .metric("accepted", static_cast<double>(r.accepted))
       .metric("shed", static_cast<double>(r.shed))
-      .metric("deferred", static_cast<double>(r.deferred))
       .metric("shed_rate", shed_rate)
       .metric("mops_per_s", mops)
       .metric("lat_p50_us", r.lat.p50 / 1e3)
@@ -217,8 +208,8 @@ void run(BenchContext& ctx) {
                "trickle paces one request per client per "
             << kTrickleGapNs / 1000
             << "us; flood+admit arms a 100k ops/s/node token bucket.\n\n";
-  Table t({"arm", "requests", "accepted", "shed", "deferred", "mops_per_s",
-           "p50_us", "p99_us", "parks", "wakes"});
+  Table t({"arm", "requests", "accepted", "shed", "mops_per_s", "p50_us",
+           "p99_us", "parks", "wakes"});
 
   report(ctx, t, "admission/elastic/trickle",
          run_arm(ctx, arm_config(true), kTrickleGapNs));

@@ -20,8 +20,8 @@
 // wedged server costs M, not forever); --deadline M attaches an M-ms
 // deadline budget to every request so the server refuses or drops work it
 // cannot finish in time; --retries N allows each op N total attempts with
-// jittered exponential backoff on shed/queue-full refusals (deadline
-// refusals are never retried — the budget is already gone).
+// jittered exponential backoff on shed refusals (deadline refusals are
+// never retried — the budget is already gone).
 //
 // Every argument is parsed strictly, and a bad one exits 2 before any
 // connection opens: the port is an integer in [0, 65535]; connections and
@@ -145,14 +145,14 @@ int main(int argc, char** argv) {
   const double rps = static_cast<double>(res.requests) / res.wall_s;
   const double ops = static_cast<double>(res.ops) / res.wall_s;
 
-  bjrw::Table t({"requests", "rps", "kops_per_s", "hits", "shed", "deferred",
-                 "deadline", "retries", "timeouts", "errors", "p50_us",
-                 "p99_us", "max_us"});
+  bjrw::Table t({"requests", "rps", "kops_per_s", "hits", "shed", "deadline",
+                 "retries", "timeouts", "errors", "p50_us", "p99_us",
+                 "max_us"});
   t.add_row({std::to_string(res.requests), bjrw::Table::cell(rps, 0),
              bjrw::Table::cell(ops / 1e3, 1), std::to_string(res.hits),
-             std::to_string(res.shed), std::to_string(res.deferred),
-             std::to_string(res.deadline), std::to_string(res.retries),
-             std::to_string(res.timeouts), std::to_string(res.errors),
+             std::to_string(res.shed), std::to_string(res.deadline),
+             std::to_string(res.retries), std::to_string(res.timeouts),
+             std::to_string(res.errors),
              bjrw::Table::cell(lat.p50 / 1e3, 1),
              bjrw::Table::cell(lat.p99 / 1e3, 1),
              bjrw::Table::cell(lat.max / 1e3, 1)});

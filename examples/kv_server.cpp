@@ -9,23 +9,24 @@
 //
 // Two modes:
 //   ./kv_server [clients] [requests_per_client]   in-process demo traffic
+//       clients is an integer in [1, 1024] (one thread each), requests
+//       an integer >= 1.
 //   ./kv_server --listen [port] [admit_rate] [--expiry [resolution_ms]]
 //       socket front-end: serve the wire protocol (src/net/wire.hpp) on
 //       127.0.0.1 until SIGINT; port 0 (the default) picks an ephemeral
 //       port and prints it, and a port outside 0-65535 exits 2.
-//       admit_rate > 0 arms the per-node token bucket (ops/s) so
-//       overload runs shed instead of queueing.  --expiry arms
-//       the lease/TTL subsystem (src/expiry/): TTL'd puts (kPutTtlReq)
-//       schedule leases on the per-node timer wheels and the worker pools'
-//       sweep lane deletes them as they fall due.  Drive it with
-//       ./kv_loadgen <port> ... --ttl <fraction> <ttl_ms>.
+//       admit_rate (finite, >= 0; 0 is off) arms the per-node token
+//       bucket (ops/s) so overload runs shed instead of queueing.
+//       --expiry arms the lease/TTL subsystem (src/expiry/): TTL'd puts
+//       (kPutTtlReq) schedule leases on the per-node timer wheels and the
+//       worker pools' sweep lane deletes them as they fall due.  Drive it
+//       with ./kv_loadgen <port> ... --ttl <fraction> <ttl_ms>.  Every
+//       malformed number, and any argument past these, exits 2.
 #include <csignal>
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
+#include <climits>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -51,14 +52,13 @@ void on_signal(int) { g_stop.store(true); }
 
 void print_node_stats(
     bjrw::serve::KvServer<bjrw::CohortWriterPriorityLock>& server) {
-  bjrw::Table t({"node", "sub_requests", "ops", "shed", "deferred",
-                 "ddl_refused", "ddl_drops", "lat_mean_us", "lat_max_us",
-                 "handoffs", "global_acquires", "preempt_aborts"});
+  bjrw::Table t({"node", "sub_requests", "ops", "shed", "ddl_refused",
+                 "ddl_drops", "lat_mean_us", "lat_max_us", "handoffs",
+                 "global_acquires", "preempt_aborts"});
   for (int d = 0; d < server.node_count(); ++d) {
     const bjrw::serve::NodeServeStats ns = server.node_stats(d);
     t.add_row({std::to_string(d), std::to_string(ns.sub_requests),
                std::to_string(ns.ops), std::to_string(ns.shed),
-               std::to_string(ns.deferred),
                std::to_string(ns.deadline_refused),
                std::to_string(ns.deadline_drops),
                bjrw::Table::cell(ns.latency_mean_ns / 1e3, 1),
@@ -128,49 +128,66 @@ int listen_mode(std::uint16_t port, double admit_rate,
   return 0;
 }
 
+// Prints a bad-argument error; returns kv_server's exit code for it.
+int bad(const char* what) {
+  std::cerr << "kv_server: " << what << "\n";
+  return 2;
+}
+
+int bad_extra(const char* arg) {
+  std::cerr << "kv_server: unexpected argument " << arg << "\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  using bjrw::examples::parse_finite;
+  using bjrw::examples::parse_int;
+  using bjrw::examples::parse_port;
   if (argc > 1 && std::strcmp(argv[1], "--listen") == 0) {
-    // --expiry [resolution_ms] (default 1 ms; a finite non-positive value
-    // also means 1 ms) arms the lease subsystem; it may appear anywhere
-    // after --listen.  The wheel counts whole nanoseconds in a u64, so a
-    // non-finite resolution, or one below 1 ns or past 2^64 ns, is refused
-    // rather than cast.
+    // Positionals [port] [admit_rate], then --expiry [resolution_ms]
+    // (default 1 ms; a non-positive value also means 1 ms) arms the lease
+    // subsystem; nothing may follow its value.  The wheel counts whole
+    // nanoseconds in a u64, so a resolution that is not a finite number,
+    // or one below 1 ns or past 2^64 ns, is refused rather than cast.
+    const char* const kBadExpiry =
+        "--expiry resolution_ms must be finite, at least 1 ns and below "
+        "2^64 ns";
     std::uint64_t expiry_ns = 0;
     int npos = argc;
     for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--expiry") == 0) {
-        double ms = i + 1 < argc ? std::atof(argv[i + 1]) : 1.0;
-        if (std::isfinite(ms) && ms <= 0.0) ms = 1.0;
-        const double ns = ms * 1e6;
-        if (!std::isfinite(ns) || ns < 1.0 || ns >= 0x1p64) {
-          std::cerr << "kv_server: --expiry resolution_ms must be finite, "
-                       "at least 1 ns and below 2^64 ns\n";
-          return 2;
-        }
-        expiry_ns = static_cast<std::uint64_t>(ns);
-        npos = i;
-        break;
-      }
+      if (std::strcmp(argv[i], "--expiry") != 0) continue;
+      double ms = 1.0;
+      if (i + 1 < argc && !parse_finite(argv[i + 1], &ms))
+        return bad(kBadExpiry);
+      if (ms <= 0.0) ms = 1.0;
+      const double ns = ms * 1e6;
+      if (ns < 1.0 || ns >= 0x1p64) return bad(kBadExpiry);
+      if (i + 2 < argc) return bad_extra(argv[i + 2]);
+      expiry_ns = static_cast<std::uint64_t>(ns);
+      npos = i;
+      break;
     }
+    if (npos > 4) return bad_extra(argv[4]);
     std::uint16_t port = 0;  // 0: ephemeral
-    if (npos > 2 && !bjrw::examples::parse_port(argv[2], &port)) {
-      std::cerr << "kv_server: port must be an integer in [0, 65535]\n";
-      return 2;
-    }
+    if (npos > 2 && !parse_port(argv[2], &port))
+      return bad("port must be an integer in [0, 65535]");
     // Optional per-node admission rate (ops/s): 0 disables the token
     // bucket.  Drive an overload run with ./kv_loadgen to watch sheds.
     // NaN would read as "off" and infinity has no token arithmetic.
-    const double rate = npos > 3 ? std::atof(argv[3]) : 0.0;
-    if (!std::isfinite(rate) || rate < 0.0) {
-      std::cerr << "kv_server: admit_rate must be finite and >= 0\n";
-      return 2;
-    }
+    double rate = 0.0;
+    if (npos > 3 && (!parse_finite(argv[3], &rate) || rate < 0.0))
+      return bad("admit_rate must be finite and >= 0");
     return listen_mode(port, rate, expiry_ns);
   }
-  const int clients = argc > 1 ? std::max(1, std::atoi(argv[1])) : 4;
-  const int requests = argc > 2 ? std::max(1, std::atoi(argv[2])) : 2000;
+  // Each client is a thread: the cap keeps a typo from starting thousands.
+  int clients = 4, requests = 2000;
+  if (argc > 3) return bad_extra(argv[3]);
+  if (argc > 1 && !parse_int(argv[1], 1, 1024, &clients))
+    return bad("clients must be an integer in [1, 1024]");
+  if (argc > 2 && !parse_int(argv[2], 1, INT_MAX, &requests))
+    return bad("requests must be an integer >= 1");
 
   const bjrw::Topology topo = bjrw::Topology::detected();
   std::cout << "kv_server: topology " << topo.describe() << " ("
@@ -214,7 +231,10 @@ int main(int argc, char** argv) {
   const double secs = sw.elapsed_s();
   server.shutdown();
 
-  std::cout << "served " << clients * requests << " ops in "
+  std::cout << "served "
+            << static_cast<std::uint64_t>(clients) *
+                   static_cast<std::uint64_t>(requests)
+            << " ops in "
             << bjrw::Table::cell(secs, 2) << " s ("
             << bjrw::Table::cell(
                    static_cast<double>(clients) *

@@ -20,7 +20,7 @@
 // closes the socket and reports why (last_error()).  One function,
 // settle(), decides every op's fate under a jittered exponential-backoff
 // RetryPolicy that honors the server's refusal semantics — kShed backs off
-// fully, kQueueFull retries sooner, kDeadline gives up — and reconnects
+// and retries, kDeadline and kShutdown give up — and reconnects
 // after resets (every current op is idempotent, so a resend after an
 // ambiguous failure is safe).  The synchronous conveniences and the
 // loadgen's pipelines both call it.  All I/O rides the
@@ -85,16 +85,13 @@ enum class ClientError : std::uint8_t {
   kProtocol,  // unparseable frame from a trusted server
 };
 
-// Backoff cap, and the share of the delay a kQueueFull refusal waits (a
-// draining queue recovers faster than an empty token bucket).
+// Backoff cap.
 inline constexpr std::uint64_t kMaxBackoffNs = 64'000'000;  // 64ms
-inline constexpr double kQueueFullScale = 0.25;
 
 // Backoff/retry shape applied by KvClient::settle.  Attempt k (0-based)
-// that was refused sleeps base_backoff_ns * 2^k, clamped to kMaxBackoffNs,
-// scaled by kQueueFullScale when the refusal was kQueueFull, and jittered
-// uniformly into [0.5, 1.0) of itself so a fleet of clients refused
-// together does not retry together.
+// that was shed sleeps base_backoff_ns * 2^k, clamped to kMaxBackoffNs,
+// and jittered uniformly into [0.5, 1.0) of itself so a fleet of clients
+// shed together does not retry together.
 struct RetryPolicy {
   int max_attempts = 3;                        // total tries per op
   std::uint64_t base_backoff_ns = 1'000'000;   // 1ms
@@ -293,29 +290,28 @@ class KvClient {
 
   // The one retry path: settles attempt `attempt` (0-based) of an op.
   // `r` is its response, or nullptr when the transport lost it.
-  //  * kOk                -> kDone.
-  //  * kShed / kQueueFull -> kRetry after the policy's backoff, while
-  //                          attempts remain.
-  //  * lost               -> the socket is reopened first, if the policy
-  //                          allows, even when this op is out of attempts
-  //                          (the connection outlives the op); then kRetry
-  //                          while attempts remain.  Ops lost together
-  //                          share the one reconnect.
-  //  * anything else      -> kGiveUp: kDeadline (the budget is spent),
-  //                          kShutdown, and kErrorResp.
+  //  * kOk           -> kDone.
+  //  * kShed         -> kRetry after the policy's backoff, while attempts
+  //                     remain.
+  //  * lost          -> the socket is reopened first, if the policy
+  //                     allows, even when this op is out of attempts (the
+  //                     connection outlives the op); then kRetry while
+  //                     attempts remain.  Ops lost together share the one
+  //                     reconnect.
+  //  * anything else -> kGiveUp: kDeadline (the budget is spent),
+  //                     kShutdown, and kErrorResp.
   Settle settle(int attempt, const Response* r) {
     bool retryable = false;
     if (r == nullptr) {
       retryable = cfg_.retry.reconnect && (ok() || reconnect());
     } else if (r->type != MsgType::kErrorResp) {
       if (r->status == WireStatus::kOk) return Settle::kDone;
-      retryable = r->status == WireStatus::kShed ||
-                  r->status == WireStatus::kQueueFull;
+      retryable = r->status == WireStatus::kShed;
     }
     const int attempts =
         cfg_.retry.max_attempts < 1 ? 1 : cfg_.retry.max_attempts;
     if (!retryable || attempt + 1 >= attempts) return Settle::kGiveUp;
-    if (r != nullptr) backoff(attempt, r->status);
+    if (r != nullptr) backoff(attempt);
     retries_ += 1;
     return Settle::kRetry;
   }
@@ -359,15 +355,11 @@ class KvClient {
     return now + cfg_.op_timeout_ms * 1'000'000ULL;
   }
 
-  // Sleeps the policy's backoff for attempt `k` refused with `status`.
-  void backoff(int k, WireStatus status) {
+  // Sleeps the policy's backoff for shed attempt `k`.
+  void backoff(int k) {
     std::uint64_t ns = cfg_.retry.base_backoff_ns;
     for (int i = 0; i < k && ns < kMaxBackoffNs; ++i) ns *= 2;
     if (ns > kMaxBackoffNs) ns = kMaxBackoffNs;
-    if (status == WireStatus::kQueueFull) {
-      ns = static_cast<std::uint64_t>(static_cast<double>(ns) *
-                                      kQueueFullScale);
-    }
     const double j = 0.5 + jitter_.uniform01() * 0.5;  // [0.5, 1.0)
     ns = static_cast<std::uint64_t>(static_cast<double>(ns) * j);
     if (ns != 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
@@ -479,8 +471,7 @@ class KvClient {
       // The status byte is peer input: a value outside the enum is a
       // malformed frame, not a refusal to give up on.
       const std::uint8_t status = u.u8();
-      if (u.failed() ||
-          status > static_cast<std::uint8_t>(WireStatus::kDeadline))
+      if (u.failed() || !is_wire_status(status))
         return fail(ClientError::kProtocol);
       resp->status = static_cast<WireStatus>(status);
       if (resp->status != WireStatus::kOk) {

@@ -52,8 +52,6 @@ struct LoadgenResult {
                                   // failures
   std::uint64_t shed = 0;         // admission-shed responses (WireStatus::
                                   // kShed)
-  std::uint64_t deferred = 0;     // queue-full responses (WireStatus::
-                                  // kQueueFull)
   std::uint64_t deadline = 0;     // kDeadline responses (never retried)
   std::uint64_t retries = 0;      // re-sends scheduled after a refusal or
                                   // a transport failure
@@ -148,8 +146,8 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
   struct ConnResult {
     bool ok = false;
     std::uint64_t requests = 0, ops = 0, hits = 0, errors = 0;
-    std::uint64_t shed = 0, deferred = 0;
-    std::uint64_t deadline = 0, retries = 0, timeouts = 0, reconnects = 0;
+    std::uint64_t shed = 0, deadline = 0, retries = 0, timeouts = 0;
+    std::uint64_t reconnects = 0;
     std::vector<double> latency_ns;
   };
   const std::size_t conns = static_cast<std::size_t>(
@@ -261,8 +259,6 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
               if (v.has_value()) ++out.hits;
           } else if (r.status == WireStatus::kShed) {
             out.shed += 1;
-          } else if (r.status == WireStatus::kQueueFull) {
-            out.deferred += 1;
           } else if (r.status == WireStatus::kDeadline) {
             out.deadline += 1;
           } else {
@@ -330,7 +326,6 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
     result.hits += cr.hits;
     result.errors += cr.errors;
     result.shed += cr.shed;
-    result.deferred += cr.deferred;
     result.deadline += cr.deadline;
     result.retries += cr.retries;
     result.timeouts += cr.timeouts;

@@ -174,7 +174,7 @@ class NetServer {
     std::vector<std::optional<std::uint64_t>> out;
     std::uint64_t id = 0;
     MsgType resp_type = MsgType::kGetResp;
-    // The KvServer's admission verdict for this slot.  Shed/deferred slots
+    // The KvServer's admission verdict for this slot.  Shed/expired slots
     // are answered and recycled inline by flush_staged (nothing was
     // enqueued); only kAccepted and kShutdown slots reach in_flight.
     serve::AdmitResult admit = serve::AdmitResult::kAccepted;
@@ -524,7 +524,7 @@ class NetServer {
   // Publishes every staged slot with ONE KvServer::submit_many call — one
   // ring reservation per dispatch node for the whole read batch — then
   // moves them into in_flight where the completion sweep may see them.
-  // Shed/deferred slots never reach in_flight: the KvServer enqueued
+  // Shed/expired slots never reach in_flight: the KvServer enqueued
   // nothing for them (pending == 0), so they are answered with the typed
   // refusal and recycled right here — and if that recycling freed slots
   // on a connection parked for slot exhaustion, EPOLLIN is re-armed
@@ -540,7 +540,6 @@ class NetServer {
       Slot* s = c.staged[i];
       s->admit = flush_outcomes_[i];
       if (s->admit == serve::AdmitResult::kShedOverload ||
-          s->admit == serve::AdmitResult::kQueueFull ||
           s->admit == serve::AdmitResult::kDeadlineExceeded) {
         if (!c.peer_gone)
           pack_status_resp(c.wbuf, s->resp_type, s->id, to_wire(s->admit));
@@ -568,7 +567,6 @@ class NetServer {
     switch (r) {
       case serve::AdmitResult::kAccepted: return WireStatus::kOk;
       case serve::AdmitResult::kShedOverload: return WireStatus::kShed;
-      case serve::AdmitResult::kQueueFull: return WireStatus::kQueueFull;
       case serve::AdmitResult::kDeadlineExceeded: return WireStatus::kDeadline;
       case serve::AdmitResult::kShutdown: return WireStatus::kShutdown;
     }

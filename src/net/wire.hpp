@@ -82,14 +82,26 @@ enum class ErrorCode : std::uint16_t {
 
 // Per-response admission status, mirroring serve::AdmitResult on the wire.
 // Every data response leads with it; non-kOk responses have no further
-// body (there is no result to report).
+// body (there is no result to report).  Value 2 is retired and never
+// reused (DESIGN.md §10): a peer sending it is malformed, like any other
+// undefined byte.
 enum class WireStatus : std::uint8_t {
-  kOk = 0,         // request executed; payload follows
-  kShed = 1,       // admission shed (token bucket): retry after backoff
-  kQueueFull = 2,  // node queue over high water: retry sooner
-  kShutdown = 3,   // server stopping
-  kDeadline = 4,   // deadline budget expired: do not retry
+  kOk = 0,        // request executed; payload follows
+  kShed = 1,      // admission shed (token bucket): retry after backoff
+  kShutdown = 3,  // server stopping
+  kDeadline = 4,  // deadline budget expired: do not retry
 };
+
+// True when `b` names a WireStatus value.
+constexpr bool is_wire_status(std::uint8_t b) {
+  switch (static_cast<WireStatus>(b)) {
+    case WireStatus::kOk:
+    case WireStatus::kShed:
+    case WireStatus::kShutdown:
+    case WireStatus::kDeadline: return true;
+  }
+  return false;
+}
 
 // --- packing -----------------------------------------------------------------
 

@@ -72,10 +72,6 @@ struct ServeConfig {
   // rate a node absorbs.  0 derives 10ms worth of rate (min 64) — enough
   // that batched submits are not sheared apart by quantization.
   std::size_t admit_burst = 0;
-  // Advisory depth bound: a submit finding the target node's queue at or
-  // beyond the high-water mark is deferred with AdmitResult::kQueueFull
-  // (the caller may retry; nothing was enqueued).  0 disables the check.
-  std::size_t queue_high_water = 0;
 
   // ---- lease expiry (src/expiry/, DESIGN.md §13) ----------------------------
   // Off by default: put_with_ttl/touch require expiry_enabled, and the map
@@ -137,10 +133,6 @@ struct ServeConfig {
     check_admission(rate_per_s, bucket);
     admit_rate = rate_per_s;
     admit_burst = bucket;
-    return *this;
-  }
-  ServeConfig& with_high_water(std::size_t depth) {
-    queue_high_water = depth;
     return *this;
   }
   // Arms the expiry subsystem at the given wheel resolution.

@@ -42,9 +42,8 @@ namespace bjrw::serve {
 enum class AdmitResult : std::uint8_t {
   kAccepted = 0,          // enqueued; will execute exactly once
   kShedOverload = 1,      // per-node token bucket empty: nothing enqueued
-  kQueueFull = 2,         // per-node depth over high water: nothing enqueued
-  kDeadlineExceeded = 3,  // deadline_ns already past at admission or dequeue
-  kShutdown = 4,          // server stopping: nothing (more) enqueued
+  kDeadlineExceeded = 2,  // deadline_ns already past at admission or dequeue
+  kShutdown = 3,          // server stopping: nothing (more) enqueued
 };
 
 constexpr AdmitResult worst_of(AdmitResult a, AdmitResult b) {
@@ -55,7 +54,6 @@ constexpr const char* to_string(AdmitResult r) {
   switch (r) {
     case AdmitResult::kAccepted: return "accepted";
     case AdmitResult::kShedOverload: return "shed_overload";
-    case AdmitResult::kQueueFull: return "queue_full";
     case AdmitResult::kDeadlineExceeded: return "deadline_exceeded";
     case AdmitResult::kShutdown: return "shutdown";
   }

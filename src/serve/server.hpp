@@ -57,11 +57,10 @@ struct NodeServeStats {
   double latency_mean_ns = 0.0;     // over `completed` requests
   double latency_max_ns = 0.0;
   // Admission + elasticity (DESIGN.md §12).
-  std::uint64_t shed = 0;      // requests refused kShedOverload here
-  std::uint64_t deferred = 0;  // requests refused kQueueFull here
-  std::uint64_t parks = 0;     // cumulative worker park events
-  std::uint64_t wakes = 0;     // cumulative submitter wake notifies
-  int parked = 0;              // instantaneous parked width
+  std::uint64_t shed = 0;   // requests refused kShedOverload here
+  std::uint64_t parks = 0;  // cumulative worker park events
+  std::uint64_t wakes = 0;  // cumulative submitter wake notifies
+  int parked = 0;           // instantaneous parked width
   // Cohort-lock counters summed over the node's shard locks (0 when the
   // per-shard lock type does not expose them).
   std::uint64_t handoffs = 0;
@@ -131,11 +130,11 @@ class KvServer {
   // nodes can start — and finish — while later requests in the batch are
   // still being grouped.
   //
-  // The admission stage — per-dispatch-node token bucket plus queue
-  // high-water check, both configured off by default — runs per request
-  // after grouping but before its latch init, so a refused request has
-  // pending == 0 (wait() returns immediately), nothing enqueued, and the
-  // refusal recorded in submit_outcome(); the rest of the batch proceeds.
+  // The admission stage — the per-dispatch-node token bucket, off by
+  // default — runs per request after grouping but before its latch init,
+  // so a refused request has pending == 0 (wait() returns immediately),
+  // nothing enqueued, and the refusal recorded in submit_outcome(); the
+  // rest of the batch proceeds.
   // Multi-node requests admit all-or-nothing: a refusal refunds tokens
   // already charged for earlier slices.  kShutdown is the one outcome that
   // can land after partial publication — slices a stopping pool refused
@@ -322,8 +321,7 @@ class KvServer {
   std::uint64_t time_now_ns() const { return clock_->now_ns(); }
   int node_count() const { return map_.node_count(); }
   // Instantaneous accepted-but-unclaimed depth of a node's queue; tests
-  // use it to sequence wedge choreography (the high-water probe reads the
-  // same surface).
+  // use it to sequence wedge choreography.
   std::size_t queue_depth(int node) const { return pool_.queue_depth(node); }
   int pinned_workers() const { return pool_.pinned_workers(); }
   int workers_per_node() const { return pool_.workers_per_node(); }
@@ -356,7 +354,6 @@ class KvServer {
                             static_cast<double>(out.completed);
     out.latency_max_ns = static_cast<double>(latency_max_ns);
     out.shed = admit_[idx(node)].shed.load(std::memory_order_relaxed);
-    out.deferred = admit_[idx(node)].deferred.load(std::memory_order_relaxed);
     out.deadline_refused =
         admit_[idx(node)].deadline_refused.load(std::memory_order_relaxed);
     out.parks = pool_.parks(node);
@@ -412,7 +409,6 @@ class KvServer {
     std::atomic<std::int64_t> tokens{0};
     std::atomic<std::uint64_t> last_ns{0};
     std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> deferred{0};
     std::atomic<std::uint64_t> deadline_refused{0};
   };
 
@@ -494,20 +490,15 @@ class KvServer {
   // request untouched and nothing to unwind.  Order matters: an already-
   // expired deadline refuses first (the request is doomed regardless of
   // capacity — a doomed request must not count as load pressure); then
-  // the depth probe (advisory, retryable kQueueFull) so a saturated
-  // queue does not also drain the token bucket; the bucket is charged
-  // only when the request will actually be enqueued (modulo the
-  // all-or-nothing refund in submit_many).
+  // the bucket, charged only when the request will actually be enqueued
+  // (modulo the all-or-nothing refund in submit_many).  A full ring is no
+  // refusal: WorkerPool::submit_many yields until a cell frees
+  // (backpressure).
   AdmitResult admit(int dn, std::uint64_t cost, std::uint64_t deadline_ns) {
     if (deadline_ns != 0 && clock_->now_ns() >= deadline_ns) {
       admit_[idx(dn)].deadline_refused.fetch_add(1,
                                                  std::memory_order_relaxed);
       return AdmitResult::kDeadlineExceeded;
-    }
-    if (cfg_.queue_high_water != 0 &&
-        pool_.queue_depth(dn) >= cfg_.queue_high_water) {
-      admit_[idx(dn)].deferred.fetch_add(1, std::memory_order_relaxed);
-      return AdmitResult::kQueueFull;
     }
     if (cfg_.admit_rate > 0.0) {
       AdmitState& st = admit_[idx(dn)];

@@ -137,8 +137,8 @@ class BoundedMpmcQueue {
   }
 
   // Approximate published-but-unclaimed depth (cursor distance).  Racy by
-  // nature — a snapshot for admission high-water checks and wake
-  // heuristics, never for correctness decisions.
+  // nature — a snapshot for wake heuristics and tests, never for
+  // correctness decisions.
   std::size_t depth() const {
     const std::size_t h = head_.load(std::memory_order_relaxed);
     const std::size_t t = tail_.load(std::memory_order_relaxed);

@@ -9,11 +9,11 @@
 //    period on an empty queue and submitters wake them when depth outruns
 //    the awake width; a fixed-width pool never parks;
 //  * KvServer admission — the per-node token bucket sheds beyond the
-//    bucket depth with all-or-nothing batch charging, the queue high-water
-//    check defers with kQueueFull before the bucket is touched (choreographed
-//    deterministically by write-locking the node's shards so the single
-//    worker blocks mid-request), refusals leave pending == 0 and are
-//    mirrored in submit_outcome() and the node_stats counters.
+//    bucket depth with all-or-nothing batch charging, refusals leave
+//    pending == 0 and are mirrored in submit_outcome() and the node_stats
+//    counters; a full node ring is no refusal, it blocks the publisher
+//    until a cell frees (choreographed deterministically by write-locking
+//    the node's shards so the single worker blocks mid-request).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,10 +49,10 @@ using serve::worst_of;
 
 TEST(AdmitResult, SeverityOrderAndNames) {
   // worst_of is max over the declared severity order: accepted < shed <
-  // queue_full < shutdown.  Batch aggregation leans on this.
+  // deadline < shutdown.  Batch aggregation leans on this.
   const AdmitResult order[] = {
       AdmitResult::kAccepted, AdmitResult::kShedOverload,
-      AdmitResult::kQueueFull, AdmitResult::kShutdown};
+      AdmitResult::kDeadlineExceeded, AdmitResult::kShutdown};
   for (const AdmitResult a : order)
     for (const AdmitResult b : order) {
       const AdmitResult w = worst_of(a, b);
@@ -68,7 +68,7 @@ TEST(AdmitResult, SeverityOrderAndNames) {
 
   EXPECT_STREQ(to_string(AdmitResult::kAccepted), "accepted");
   EXPECT_STREQ(to_string(AdmitResult::kShedOverload), "shed_overload");
-  EXPECT_STREQ(to_string(AdmitResult::kQueueFull), "queue_full");
+  EXPECT_STREQ(to_string(AdmitResult::kDeadlineExceeded), "deadline_exceeded");
   EXPECT_STREQ(to_string(AdmitResult::kShutdown), "shutdown");
 }
 
@@ -121,8 +121,7 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
                               .with_dispatch(false)
                               .with_alloc(false)
                               .with_park(5'000)
-                              .with_admission(1e6, 128)
-                              .with_high_water(32);
+                              .with_admission(1e6, 128);
   EXPECT_EQ(cfg.shards_per_node, 4u);
   EXPECT_EQ(cfg.min_width, 1);
   EXPECT_EQ(cfg.max_width, 3);
@@ -132,7 +131,6 @@ TEST(ServeConfig, FluentSettersValidateEagerly) {
   EXPECT_FALSE(cfg.node_local_alloc);
   EXPECT_EQ(cfg.park_grace_ns, 5'000u);
   EXPECT_EQ(cfg.admit_rate, 1e6);
-  EXPECT_EQ(cfg.queue_high_water, 32u);
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -419,21 +417,21 @@ TEST(KvAdmission, HugeFiniteRateAndDeepestBucketStillRefill) {
   }
 }
 
-TEST(KvAdmission, QueueFullDefersAtHighWaterWithoutDrainingTheBucket) {
-  // Deterministic choreography: write-lock BOTH shards of the only node so
-  // the single worker blocks inside its first request's read section.  The
-  // queue then holds exactly the accepted-but-unclaimed depth, and with
-  // high_water == 1 the next submit must come back kQueueFull — before the
-  // token bucket is touched (the bucket is large enough that any shed
-  // would be a bug, and the depth probe runs first by contract).
+TEST(KvAdmission, FullQueueBlocksThePublisherInsteadOfRefusing) {
+  // The bucket is the only refusal: a full ring makes the submitter yield
+  // (counted in backpressure) until a cell frees.  Deterministic
+  // choreography: write-lock BOTH shards of the only node so the single
+  // worker blocks inside its first request's read section, then fill the
+  // capacity-2 ring behind it.  The bucket is deep enough that any shed
+  // would be a bug.
   const Topology topo = Topology::simulated(1, 2);  // worker tid 0, ours 1
   KvServer<WriterPriorityLock> server(topo, ServeConfig{}
                                                 .with_shards(2)
                                                 .with_workers(1)
                                                 .with_pin(false)
+                                                .with_queue_capacity(2)
                                                 .with_admission(kFrozenRate,
-                                                                1'000)
-                                                .with_high_water(1));
+                                                                1'000));
   for (std::uint64_t k = 0; k < 16; ++k) server.map().put(0, k, 100 + k);
 
   auto& sub = server.map().sub_map(0);
@@ -441,53 +439,46 @@ TEST(KvAdmission, QueueFullDefersAtHighWaterWithoutDrainingTheBucket) {
   sub.shard_lock(0).write_lock(kOurTid);
   sub.shard_lock(1).write_lock(kOurTid);
 
-  std::uint64_t ka = 5, kb = 6, kc = 7;
-  Request a, b, c;
-  a.kind = b.kind = c.kind = RequestKind::kGet;
-  a.keys = &ka;
-  b.keys = &kb;
-  c.keys = &kc;
-  a.key_count = b.key_count = c.key_count = 1;
-
-  // A admits into an empty queue; the worker claims it and blocks in the
-  // shard's read_lock (writer-priority: readers wait behind us).
-  ASSERT_EQ(server.submit(&a), AdmitResult::kAccepted);
-  // B admits only once the worker has claimed A (depth back under the high
-  // water) — kQueueFull is advisory and retryable, so spin on resubmit.
-  AdmitResult rb = server.submit(&b);
-  while (rb == AdmitResult::kQueueFull) {
-    YieldSpin::relax();
-    b.reset();
-    rb = server.submit(&b);
+  std::uint64_t keys[4] = {5, 6, 7, 8};
+  Request r[4];  // A, B, C, D
+  for (int i = 0; i < 4; ++i) {
+    r[i].kind = RequestKind::kGet;
+    r[i].keys = &keys[i];
+    r[i].key_count = 1;
   }
-  ASSERT_EQ(rb, AdmitResult::kAccepted);
-  // Now the worker is wedged on A and B occupies the queue: C must defer,
-  // deterministically, with nothing enqueued and pending == 0.
-  EXPECT_EQ(server.submit(&c), AdmitResult::kQueueFull);
-  EXPECT_EQ(c.submit_outcome(), AdmitResult::kQueueFull);
-  EXPECT_TRUE(c.done());
-  EXPECT_EQ(c.hits.load(), 0u);
-  EXPECT_GE(server.node_stats(0).deferred, 1u);
-  EXPECT_EQ(server.node_stats(0).shed, 0u);  // depth probe ran first
+
+  // A admits; the worker claims it and blocks in the shard's read_lock
+  // (writer-priority: readers wait behind us).
+  ASSERT_EQ(server.submit(&r[0]), AdmitResult::kAccepted);
+  spin_until<YieldSpin>([&] { return server.queue_depth(0) == 0; });
+  // B and C fill the ring behind the wedged worker.
+  ASSERT_EQ(server.submit(&r[1]), AdmitResult::kAccepted);
+  ASSERT_EQ(server.submit(&r[2]), AdmitResult::kAccepted);
+  ASSERT_EQ(server.queue_depth(0), 2u);
+
+  // D finds no free cell: its submit must keep yielding, not return.
+  const std::uint64_t bp0 = server.node_stats(0).backpressure;
+  std::atomic<bool> d_returned{false};
+  AdmitResult rd = AdmitResult::kShutdown;
+  std::thread helper([&] {
+    rd = server.submit(&r[3]);
+    d_returned.store(true);
+  });
+  spin_until<YieldSpin>(
+      [&] { return server.node_stats(0).backpressure >= bp0 + 8; });
+  EXPECT_FALSE(d_returned.load());
+  EXPECT_EQ(server.queue_depth(0), 2u);
 
   sub.shard_lock(1).write_unlock(kOurTid);
   sub.shard_lock(0).write_unlock(kOurTid);
-  a.wait();
-  b.wait();
-  EXPECT_EQ(a.hits.load(), 1u);
-  EXPECT_EQ(b.hits.load(), 1u);
-
-  // The deferred slot was never consumed: a retry of C now admits.
-  c.reset();
-  AdmitResult rc = server.submit(&c);
-  while (rc == AdmitResult::kQueueFull) {
-    YieldSpin::relax();
-    c.reset();
-    rc = server.submit(&c);
+  helper.join();
+  EXPECT_EQ(rd, AdmitResult::kAccepted);
+  for (int i = 0; i < 4; ++i) {
+    r[i].wait();
+    EXPECT_EQ(r[i].submit_outcome(), AdmitResult::kAccepted) << "req " << i;
+    EXPECT_EQ(r[i].hits.load(), 1u) << "req " << i;
   }
-  ASSERT_EQ(rc, AdmitResult::kAccepted);
-  c.wait();
-  EXPECT_EQ(c.hits.load(), 1u);
+  EXPECT_EQ(server.node_stats(0).shed, 0u);
 }
 
 TEST(KvAdmission, NodeStatsExposeElasticityCounters) {

@@ -2,8 +2,8 @@
 // injectable ClockSource, checked at both enforcement points —
 //
 //   * the admission edge (an already-expired request is refused
-//     kDeadlineExceeded before the high-water probe or the token bucket
-//     sees it: doomed work is not load pressure), and
+//     kDeadlineExceeded before the token bucket sees it: doomed work is
+//     not load pressure), and
 //   * worker dequeue (a request that expired while queued is dropped, not
 //     executed — observable as Request::dropped and NodeServeStats::
 //     deadline_drops),
@@ -82,7 +82,7 @@ TEST(DeadlineServe, AdmissionEdgeRefusesExpiredRequests) {
 }
 
 TEST(DeadlineServe, ExpiryInQueueDropsAtDequeueNotExecutes) {
-  // Deterministic choreography (the KvAdmission queue-full pattern): hold
+  // Deterministic choreography (the KvAdmission full-queue pattern): hold
   // both shard write locks of the only node so the single worker wedges
   // inside request A, queue B with a deadline, advance the clock past it,
   // then release — B must be dropped at dequeue, never executed.
@@ -245,7 +245,7 @@ TEST(DeadlineServe, LoadgenNeverRetriesDeadlineRefusals) {
   EXPECT_EQ(r.deadline, 40u);  // every op, each refused once
   EXPECT_EQ(r.requests, 40u);
   EXPECT_EQ(r.retries, 0u);
-  EXPECT_EQ(r.errors + r.shed + r.deferred + r.timeouts, 0u);
+  EXPECT_EQ(r.errors + r.shed + r.timeouts, 0u);
   // Client and server views reconcile: every verdict came from the edge.
   EXPECT_EQ(kv.node_stats(0).deadline_refused, r.deadline);
 }

@@ -297,7 +297,7 @@ TEST(NetFault, LoadgenRetriesShedOpsWithinTheirBudget) {
   EXPECT_TRUE(r.ok);
   EXPECT_GT(r.shed, 0u);
   EXPECT_GT(r.retries, 0u);
-  EXPECT_LE(r.retries, r.shed + r.deferred);  // only refusals were retried
+  EXPECT_LE(r.retries, r.shed);  // only refusals were retried
   EXPECT_EQ(r.errors, 0u);
   EXPECT_EQ(r.timeouts, 0u);
   EXPECT_EQ(r.reconnects, 0u);
@@ -326,7 +326,7 @@ TEST(NetFault, LoadgenReconnectsThroughResetAndAccountsEveryOp) {
   EXPECT_GE(fi.resets(), 1u);
   EXPECT_GE(r.reconnects, 1u);
   EXPECT_GT(r.errors, 0u);  // the ops the resets swallowed
-  EXPECT_EQ(r.shed + r.deferred + r.deadline, 0u);
+  EXPECT_EQ(r.shed + r.deadline, 0u);
   expect_every_attempt_accounted(cfg, r);
 }
 
@@ -469,30 +469,34 @@ TEST(NetFault, ClientParksOnASlowAnswerInsteadOfSpinning) {
 
 TEST(NetFault, UndefinedStatusByteIsAProtocolError) {
   // The status byte of a data response is peer input.  A raw peer answers
-  // one get with a well-formed kGetResp frame whose status is 9, a value
-  // WireStatus does not define: the client must fail the op as kProtocol
-  // and close, not read it as a refusal and give up quietly.
-  std::uint16_t port = 0;
-  const int lfd = listen_loopback(&port);
-  ASSERT_GE(lfd, 0);
-  std::thread peer =
-      answer_one_request(lfd, [](PackBuffer& b, std::uint64_t id) {
-        pack_status_resp(b, MsgType::kGetResp, id,
-                         static_cast<WireStatus>(9));
-      });
+  // one get with a well-formed kGetResp frame whose status WireStatus does
+  // not define — 9, past the enum, or 2, the retired value inside it: the
+  // client must fail the op as kProtocol and close, not read it as a
+  // refusal and give up quietly.
+  for (const std::uint8_t status : {std::uint8_t{9}, std::uint8_t{2}}) {
+    SCOPED_TRACE(static_cast<int>(status));
+    std::uint16_t port = 0;
+    const int lfd = listen_loopback(&port);
+    ASSERT_GE(lfd, 0);
+    std::thread peer =
+        answer_one_request(lfd, [status](PackBuffer& b, std::uint64_t id) {
+          pack_status_resp(b, MsgType::kGetResp, id,
+                           static_cast<WireStatus>(status));
+        });
 
-  ClientConfig cfg;
-  cfg.op_timeout_ms = 5'000;
-  cfg.retry.max_attempts = 1;
-  cfg.retry.reconnect = false;
-  auto c = KvClient::connect(port, cfg);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_FALSE(c->get(1).has_value());
-  EXPECT_EQ(c->last_error(), ClientError::kProtocol);
-  EXPECT_FALSE(c->ok());  // closed: the peer's stream can't be trusted
-  c.reset();              // our close ends the peer's final recv
-  peer.join();
-  ::close(lfd);
+    ClientConfig cfg;
+    cfg.op_timeout_ms = 5'000;
+    cfg.retry.max_attempts = 1;
+    cfg.retry.reconnect = false;
+    auto c = KvClient::connect(port, cfg);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_FALSE(c->get(1).has_value());
+    EXPECT_EQ(c->last_error(), ClientError::kProtocol);
+    EXPECT_FALSE(c->ok());  // closed: the peer's stream can't be trusted
+    c.reset();              // our close ends the peer's final recv
+    peer.join();
+    ::close(lfd);
+  }
 }
 
 TEST(NetFault, HugeOpTimeoutMeansNoDeadlineNotAnExpiredOne) {

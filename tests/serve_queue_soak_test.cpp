@@ -476,14 +476,13 @@ TEST(ServeQueueSoak, ElasticParkWakeRacingShutdownConservesItems) {
 }
 
 TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
-  // The PR's headline conservation bar, whole stack: elastic widths with
-  // parking workers, a token bucket shedding, a high-water mark
-  // deferring, and shutdown racing all of it.  Every submit's wait()
-  // must terminate whatever the outcome (a stranded latch hangs
-  // run_threads), the recorded per-request outcome must match the
-  // returned one, refusals must resolve with zero side effects, and the
-  // server-side shed/deferred counters must agree exactly with what the
-  // clients observed.
+  // The headline conservation bar, whole stack: elastic widths with
+  // parking workers, a token bucket shedding, and shutdown racing all of
+  // it.  Every submit's wait() must terminate whatever the outcome (a
+  // stranded latch hangs run_threads), the recorded per-request outcome
+  // must match the returned one, refusals must resolve with zero side
+  // effects, and the server-side shed counter must agree exactly with
+  // what the clients observed.
   std::vector<std::uint64_t> keys;
   for (std::uint64_t k = 0; k < 16; ++k) keys.push_back(k);
 
@@ -495,13 +494,12 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
             .with_queue_capacity(64)
             .with_pin(false)
             .with_park(/*grace_ns=*/20'000)
-            .with_admission(/*rate=*/4e6, /*bucket=*/256)
-            .with_high_water(48);
+            .with_admission(/*rate=*/4e6, /*bucket=*/256);
     KvServer<CohortWriterPriorityLock> server(topo, cfg);
     for (std::uint64_t k = 0; k < 16; ++k) server.map().put(0, k, k + 1);
 
     constexpr int kClients = 4;
-    std::atomic<std::uint64_t> accepted{0}, shed{0}, deferred{0};
+    std::atomic<std::uint64_t> accepted{0}, shed{0};
     std::atomic<std::uint64_t> refused_shutdown{0};
     run_threads(kClients + 1, [&](std::size_t t) {
       if (t == kClients) {
@@ -533,10 +531,6 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
             shed.fetch_add(1);
             ASSERT_EQ(r.hits.load(), 0u) << "shed request executed";
             break;
-          case AdmitResult::kQueueFull:
-            deferred.fetch_add(1);
-            ASSERT_EQ(r.hits.load(), 0u) << "deferred request executed";
-            break;
           case AdmitResult::kDeadlineExceeded:
             ASSERT_TRUE(false) << "deadline refusal without a deadline";
             break;
@@ -548,12 +542,11 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
     });
     server.shutdown();
 
-    std::uint64_t completed = 0, stats_shed = 0, stats_deferred = 0;
+    std::uint64_t completed = 0, stats_shed = 0;
     for (int d = 0; d < server.node_count(); ++d) {
       const serve::NodeServeStats ns = server.node_stats(d);
       completed += ns.completed;
       stats_shed += ns.shed;
-      stats_deferred += ns.deferred;
     }
     // Every accepted request completes exactly once.  A kShutdown result
     // can cover a batch that published a prefix of its slices before the
@@ -564,7 +557,6 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
     ASSERT_LE(completed, accepted.load() + refused_shutdown.load())
         << "round " << round;
     ASSERT_EQ(stats_shed, shed.load()) << "round " << round;
-    ASSERT_EQ(stats_deferred, deferred.load()) << "round " << round;
   }
 }
 
@@ -583,13 +575,13 @@ TEST(ServeQueueSoak, NodeStatsPolledLiveAreMonotoneAndExactAfterShutdown) {
       &NodeServeStats::sub_requests,     &NodeServeStats::ops,
       &NodeServeStats::completed,        &NodeServeStats::backpressure,
       &NodeServeStats::bursts,           &NodeServeStats::group_gathers,
-      &NodeServeStats::shed,             &NodeServeStats::deferred,
-      &NodeServeStats::parks,            &NodeServeStats::wakes,
-      &NodeServeStats::handoffs,         &NodeServeStats::global_acquires,
-      &NodeServeStats::preempt_aborts,   &NodeServeStats::leases_scheduled,
-      &NodeServeStats::leases_cancelled, &NodeServeStats::leases_expired,
-      &NodeServeStats::lease_stale_skips, &NodeServeStats::sweep_batches,
-      &NodeServeStats::deadline_refused, &NodeServeStats::deadline_drops};
+      &NodeServeStats::shed,             &NodeServeStats::parks,
+      &NodeServeStats::wakes,            &NodeServeStats::handoffs,
+      &NodeServeStats::global_acquires,  &NodeServeStats::preempt_aborts,
+      &NodeServeStats::leases_scheduled, &NodeServeStats::leases_cancelled,
+      &NodeServeStats::leases_expired,   &NodeServeStats::lease_stale_skips,
+      &NodeServeStats::sweep_batches,    &NodeServeStats::deadline_refused,
+      &NodeServeStats::deadline_drops};
   const auto nodes = static_cast<std::size_t>(server.node_count());
   // Field-wise a <= b, latency max included (the mean is a ratio of two
   // separately read counters, so it may move either way).
