@@ -22,10 +22,11 @@
 // RetryPolicy that honors the server's refusal semantics — kShed backs off
 // and retries, kDeadline and kShutdown give up — and reconnects
 // after resets (every current op is idempotent, so a resend after an
-// ambiguous failure is safe).  The synchronous conveniences and the
-// loadgen's pipelines both call it.  All I/O rides the
-// transport_read/transport_send seam (src/harness/fault.hpp): sends carry
-// MSG_NOSIGNAL, and tests splice deterministic faults in.
+// ambiguous failure is safe).  settle() never sleeps: a retry carries its
+// not-before time, which the synchronous conveniences wait out and the
+// loadgen's pipelines queue while they keep reading other answers.  All
+// I/O rides the transport_read/transport_send seam (src/harness/fault.hpp):
+// sends carry MSG_NOSIGNAL, and tests splice deterministic faults in.
 #pragma once
 
 #if !defined(__linux__)
@@ -89,9 +90,9 @@ enum class ClientError : std::uint8_t {
 inline constexpr std::uint64_t kMaxBackoffNs = 64'000'000;  // 64ms
 
 // Backoff/retry shape applied by KvClient::settle.  Attempt k (0-based)
-// that was shed sleeps base_backoff_ns * 2^k, clamped to kMaxBackoffNs,
-// and jittered uniformly into [0.5, 1.0) of itself so a fleet of clients
-// shed together does not retry together.
+// that was shed is resent no earlier than base_backoff_ns * 2^k later,
+// clamped to kMaxBackoffNs, and jittered uniformly into [0.5, 1.0) of
+// itself so a fleet of clients shed together does not retry together.
 struct RetryPolicy {
   int max_attempts = 3;                        // total tries per op
   std::uint64_t base_backoff_ns = 1'000'000;   // 1ms
@@ -111,11 +112,24 @@ struct ClientConfig {
   RetryPolicy retry;
 };
 
+// Sleeps until now_ns() reaches `t_ns`; returns at once if it has.
+inline void sleep_until_ns(std::uint64_t t_ns) {
+  const std::uint64_t now = now_ns();
+  if (t_ns > now)
+    std::this_thread::sleep_for(std::chrono::nanoseconds(t_ns - now));
+}
+
 // What settle() decided for an op's attempt.
-enum class Settle : std::uint8_t {
-  kDone,    // a kOk response: consume it
-  kRetry,   // send the op again now (backoff slept, socket open)
-  kGiveUp,  // final: refused for good, out of attempts, or no socket
+struct Settle {
+  enum Verdict : std::uint8_t {
+    kDone,    // a kOk response: consume it
+    kRetry,   // send the op again at not_before_ns (socket open)
+    kGiveUp,  // final: refused for good, out of attempts, or no socket
+  };
+  Verdict verdict = kGiveUp;
+  // kRetry only: the steady-clock time (now_ns()) the resend waits for —
+  // the shed backoff, or now for a lost op.
+  std::uint64_t not_before_ns = 0;
 };
 
 class KvClient {
@@ -289,7 +303,8 @@ class KvClient {
   }
 
   // The one retry path: settles attempt `attempt` (0-based) of an op.
-  // `r` is its response, or nullptr when the transport lost it.
+  // `r` is its response, or nullptr when the transport lost it.  Never
+  // sleeps: a retry's backoff comes back as its not-before time.
   //  * kOk           -> kDone.
   //  * kShed         -> kRetry after the policy's backoff, while attempts
   //                     remain.
@@ -305,15 +320,14 @@ class KvClient {
     if (r == nullptr) {
       retryable = cfg_.retry.reconnect && (ok() || reconnect());
     } else if (r->type != MsgType::kErrorResp) {
-      if (r->status == WireStatus::kOk) return Settle::kDone;
+      if (r->status == WireStatus::kOk) return {Settle::kDone};
       retryable = r->status == WireStatus::kShed;
     }
     const int attempts =
         cfg_.retry.max_attempts < 1 ? 1 : cfg_.retry.max_attempts;
-    if (!retryable || attempt + 1 >= attempts) return Settle::kGiveUp;
-    if (r != nullptr) backoff(attempt);
+    if (!retryable || attempt + 1 >= attempts) return {Settle::kGiveUp};
     retries_ += 1;
-    return Settle::kRetry;
+    return {Settle::kRetry, now_ns() + (r != nullptr ? backoff(attempt) : 0)};
   }
 
  private:
@@ -355,14 +369,13 @@ class KvClient {
     return now + cfg_.op_timeout_ms * 1'000'000ULL;
   }
 
-  // Sleeps the policy's backoff for shed attempt `k`.
-  void backoff(int k) {
+  // The policy's jittered backoff for shed attempt `k`, in ns.
+  std::uint64_t backoff(int k) {
     std::uint64_t ns = cfg_.retry.base_backoff_ns;
     for (int i = 0; i < k && ns < kMaxBackoffNs; ++i) ns *= 2;
     if (ns > kMaxBackoffNs) ns = kMaxBackoffNs;
     const double j = 0.5 + jitter_.uniform01() * 0.5;  // [0.5, 1.0)
-    ns = static_cast<std::uint64_t>(static_cast<double>(ns) * j);
-    if (ns != 0) std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
+    return static_cast<std::uint64_t>(static_cast<double>(ns) * j);
   }
 
   // Classifies one failed transport return: true = the I/O would block
@@ -562,7 +575,8 @@ class KvClient {
     }
   }
 
-  // The convenience loop: submit-flush-recv until settle() is final.
+  // The convenience loop: submit-flush-recv until settle() is final,
+  // sleeping out each retry's backoff — the one place the client waits it.
   // `on_ok` consumes the kOk response; returns whether the op ended in kOk.
   // A response whose id does not match (possible only after the caller
   // broke the one-in-one-out convention) is a protocol failure.
@@ -578,13 +592,15 @@ class KvClient {
         fail(ClientError::kProtocol);
         return false;
       }
-      switch (settle(k, got ? &r : nullptr)) {
+      const Settle s = settle(k, got ? &r : nullptr);
+      switch (s.verdict) {
         case Settle::kDone:
           on_ok(r);
           return true;
         case Settle::kGiveUp:
           return false;
         case Settle::kRetry:
+          sleep_until_ns(s.not_before_ns);
           break;
       }
     }

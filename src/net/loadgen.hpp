@@ -7,9 +7,12 @@
 // measured per wire request (send of the frame to receipt of its
 // response), matched by request id because the server completes requests
 // in whatever order the owning nodes finish them.  Whether an answered or
-// lost request is retried is KvClient::settle's call, the same one the
-// synchronous conveniences make; the loadgen only tracks what is in
-// flight, what is queued for a resend, and the counts.
+// lost request is retried, and not before when, is KvClient::settle's
+// call, the same one the synchronous conveniences make; the loadgen only
+// tracks what is in flight, what is queued for a resend and when it is
+// due, and the counts.  A shed op's backoff never blocks the connection:
+// its other answers keep being read, and the thread sleeps only when
+// nothing is in flight and no resend is due yet.
 #pragma once
 
 #if !defined(__linux__)
@@ -190,13 +193,26 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
       in_flight.reserve(depth);
       out.latency_ns.reserve(ops.size());
       std::size_t next = 0;
-      // Ops settle() sent back for another attempt, with that attempt's
-      // number.
-      std::vector<std::pair<std::size_t, int>> again;
+      // Ops settle() sent back for another attempt: that attempt's number
+      // and the time it is due (not before).
+      struct Retry {
+        std::uint64_t due_ns;
+        std::size_t op;
+        int attempt;
+      };
+      std::vector<Retry> again;
       const auto settle = [&](std::size_t op_idx, int attempt,
                               const Response* r) {
-        if (client->settle(attempt, r) == Settle::kRetry)
-          again.emplace_back(op_idx, attempt + 1);
+        const Settle s = client->settle(attempt, r);
+        if (s.verdict == Settle::kRetry)
+          again.push_back({s.not_before_ns, op_idx, attempt + 1});
+      };
+      // Index of the earliest-due retry; `again` must be non-empty.
+      const auto earliest = [&] {
+        std::size_t e = 0;
+        for (std::size_t i = 1; i < again.size(); ++i)
+          if (again[i].due_ns < again[e].due_ns) e = i;
+        return e;
       };
       const auto send_one = [&](std::size_t op_idx, int attempt) -> bool {
         const detail::WireOp& w = ops[op_idx];
@@ -277,16 +293,20 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
       bool ok = true;
       while (ok &&
              (next < ops.size() || !again.empty() || !in_flight.empty())) {
-        while (ok && in_flight.size() < depth &&
-               (!again.empty() || next < ops.size())) {
+        // Fill the pipeline: due retries first, then fresh ops.
+        while (ok && in_flight.size() < depth) {
           std::size_t op_idx;
           int attempt = 0;
-          if (!again.empty()) {
-            op_idx = again.back().first;
-            attempt = again.back().second;
+          const std::size_t e = again.empty() ? 0 : earliest();
+          if (!again.empty() && again[e].due_ns <= now_ns()) {
+            op_idx = again[e].op;
+            attempt = again[e].attempt;
+            again[e] = again.back();
             again.pop_back();
-          } else {
+          } else if (next < ops.size()) {
             op_idx = next++;
+          } else {
+            break;
           }
           if (!send_one(op_idx, attempt)) {
             // The op that failed to send was never recorded in-flight;
@@ -295,7 +315,10 @@ inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
             ok = lose_in_flight();
           }
         }
-        if (ok && !in_flight.empty() && !recv_one()) {
+        if (ok && in_flight.empty()) {
+          // Nothing in flight and nothing due: wait out the next backoff.
+          if (!again.empty()) sleep_until_ns(again[earliest()].due_ns);
+        } else if (ok && !recv_one()) {
           // recv_one returns false either on a transport failure (socket
           // already closed by the client) or on an unknown-id correlation
           // bug; only the former is recoverable.

@@ -174,15 +174,10 @@ class NetServer {
     std::vector<std::optional<std::uint64_t>> out;
     std::uint64_t id = 0;
     MsgType resp_type = MsgType::kGetResp;
-    // The KvServer's admission verdict for this slot.  Shed/expired slots
-    // are answered and recycled inline by flush_staged (nothing was
-    // enqueued); only kAccepted and kShutdown slots reach in_flight.
-    serve::AdmitResult admit = serve::AdmitResult::kAccepted;
   };
 
   struct Connection {
     int fd = -1;
-    std::size_t idx = 0;  // this connection's conns_/epoll tag index
     std::vector<std::uint8_t> rbuf;
     std::size_t rhead = 0;  // parsed-up-to offset into rbuf
     PackBuffer wbuf;
@@ -302,7 +297,6 @@ class NetServer {
           break;
         }
       if (idx == conns_.size()) conns_.push_back(nullptr);
-      conn->idx = idx;
       conns_[idx] = std::move(conn);
       add_epoll(fd, EPOLLIN, idx);
       accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -450,14 +444,10 @@ class NetServer {
       const Handle r = (this->*(entry->handler))(c, h.request_id, u);
       if (r == Handle::kNoSlot) {
         // Out of slots: publish the stage first — the completions that
-        // free slots are the very requests sitting in it, and a staged
-        // slot the KvServer sheds is answered and recycled *inline*, so
-        // the flush itself may hand back free slots.  Only if none came
-        // back do we drop read interest until a completion frees one
-        // (backpressure to the TCP window); the shed case keeps parsing
-        // immediately instead of parking the connection.
+        // free slots are the very requests sitting in it — then drop read
+        // interest until the sweep frees one (backpressure to the TCP
+        // window).  Refused slots free the same way, on the sweep.
         flush_staged(c);
-        if (!c.free_slots.empty()) continue;  // retry the same frame
         if (c.reading) {
           c.reading = false;
           rearm(c, idx);
@@ -510,7 +500,6 @@ class NetServer {
     s->req.deadline_ns = budget_ns == 0 ? 0 : kv_.time_now_ns() + budget_ns;
     s->id = id;
     s->resp_type = resp_type;
-    s->admit = serve::AdmitResult::kAccepted;
     return s;
   }
 
@@ -523,44 +512,20 @@ class NetServer {
 
   // Publishes every staged slot with ONE KvServer::submit_many call — one
   // ring reservation per dispatch node for the whole read batch — then
-  // moves them into in_flight where the completion sweep may see them.
-  // Shed/expired slots never reach in_flight: the KvServer enqueued
-  // nothing for them (pending == 0), so they are answered with the typed
-  // refusal and recycled right here — and if that recycling freed slots
-  // on a connection parked for slot exhaustion, EPOLLIN is re-armed
-  // immediately instead of waiting for an unrelated completion.
+  // moves them all into in_flight where the completion sweep may see them.
+  // A refused slot (shed, expired, or shut out) is no exception: the
+  // KvServer enqueued nothing for it, so its latch is already resolved
+  // (pending == 0) and the sweep in this same loop round answers it from
+  // its submit_outcome() and recycles it.
   void flush_staged(Connection& c) {
     const std::size_t n = c.staged.size();
     if (n == 0) return;
     for (std::size_t i = 0; i < n; ++i)
       flush_reqs_[i] = &c.staged[i]->req;
-    kv_.submit_many(flush_reqs_.data(), n, flush_outcomes_.data());
-    bool freed = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot* s = c.staged[i];
-      s->admit = flush_outcomes_[i];
-      if (s->admit == serve::AdmitResult::kShedOverload ||
-          s->admit == serve::AdmitResult::kDeadlineExceeded) {
-        if (!c.peer_gone)
-          pack_status_resp(c.wbuf, s->resp_type, s->id, to_wire(s->admit));
-        c.free_slots.push_back(s);
-        freed = true;
-        continue;
-      }
-      // kAccepted — and kShutdown, whose batch may have published some
-      // slices before the pool stopped: both wait out their latch on the
-      // normal completion path.
-      c.in_flight.push_back(s);
-      ++total_in_flight_;
-    }
+    kv_.submit_many(flush_reqs_.data(), n);
+    c.in_flight.insert(c.in_flight.end(), c.staged.begin(), c.staged.end());
+    total_in_flight_ += n;
     c.staged.clear();
-    if (freed) {
-      if (!c.reading && !c.draining) {
-        c.reading = true;
-        rearm(c, c.idx);
-      }
-      if (!c.wbuf.empty()) flush(c, c.idx);
-    }
   }
 
   static WireStatus to_wire(serve::AdmitResult r) {
@@ -733,7 +698,8 @@ class NetServer {
   // if the workers dropped every slice at dequeue (accepted-but-doomed),
   // otherwise accepted.
   static serve::AdmitResult effective_admit(const Slot& s) {
-    if (s.admit != serve::AdmitResult::kAccepted) return s.admit;
+    const serve::AdmitResult adm = s.req.submit_outcome();
+    if (adm != serve::AdmitResult::kAccepted) return adm;
     if (s.req.dropped.load(std::memory_order_relaxed) != 0)
       return serve::AdmitResult::kDeadlineExceeded;
     return serve::AdmitResult::kAccepted;
@@ -824,7 +790,6 @@ class NetServer {
   std::vector<std::unique_ptr<Connection>> conns_;  // loop-thread only
   // flush_staged scratch (loop-thread only).
   std::array<serve::Request*, kSubmitBatch> flush_reqs_{};
-  std::array<serve::AdmitResult, kSubmitBatch> flush_outcomes_{};
   std::thread loop_;
 };
 

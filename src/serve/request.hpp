@@ -32,13 +32,13 @@
 namespace bjrw::serve {
 
 // Typed admission outcome of a submit — the API-wide replacement for the
-// old bool returns.  Every submit path (WorkerPool, KvServer, NetServer's
-// wire mapping) speaks this enum; `accepted` is the only value that
-// enqueues anything, and an accepted item is *guaranteed* to execute
-// exactly once, even racing shutdown (the drain protocol in
-// worker_pool.hpp).  The numeric order is a severity order: aggregating a
-// batch takes the max (worst_of), so a request whose slices saw both
-// kAccepted and kShutdown reports kShutdown.
+// old bool returns.  KvServer's submit paths and NetServer's wire mapping
+// speak this enum; `accepted` is the only value that enqueues anything,
+// and an accepted item is *guaranteed* to execute exactly once, even
+// racing shutdown (the drain protocol in worker_pool.hpp).  The numeric
+// order is a severity order: aggregating a batch takes the max
+// (worst_of), so a request whose slices saw both kAccepted and kShutdown
+// reports kShutdown.
 enum class AdmitResult : std::uint8_t {
   kAccepted = 0,          // enqueued; will execute exactly once
   kShedOverload = 1,      // per-node token bucket empty: nothing enqueued
@@ -100,11 +100,11 @@ struct Request {
   std::atomic<std::uint64_t> value_sum{0};    // checksum over found values
   std::atomic<std::uint32_t> pending{0};      // outstanding sub-requests
   std::atomic<std::uint32_t> dropped{0};      // slices dropped at dequeue
-  // Admission outcome, written by the *submitting* thread strictly before
-  // submit returns (plain field: workers never touch it, and the client
-  // owns the request, so there is no race to order).  Mirrors submit()'s
-  // return value; a refused request has pending == 0 so wait() returns
-  // immediately.
+  // Admission outcome — the one record of this request's verdict, written
+  // by the *submitting* thread strictly before submit returns (plain
+  // field: workers never touch it, and the client owns the request, so
+  // there is no race to order).  A refused request has pending == 0 so
+  // wait() returns immediately.
   AdmitResult outcome = AdmitResult::kAccepted;
 
   AdmitResult submit_outcome() const { return outcome; }

@@ -118,7 +118,7 @@ class KvServer {
 
   // Asynchronous submission of one request: the caller owns `*req` (keys,
   // out array) until req->wait() returns.  A batch of one through
-  // submit_many(), which documents admission and the outcomes.
+  // submit_many(), which documents admission and the outcome.
   AdmitResult submit(Request* req) { return submit_many(&req, 1); }
 
   // Batched submission: splits every request into one slice per involved
@@ -139,11 +139,10 @@ class KvServer {
   // already charged for earlier slices.  kShutdown is the one outcome that
   // can land after partial publication — slices a stopping pool refused
   // are discounted from their latch before return, so wait() still
-  // terminates (with partial results).  Returns the worst outcome across
-  // the batch (worst_of severity order); outcomes[i], when provided,
-  // mirrors reqs[i]->submit_outcome().
-  AdmitResult submit_many(Request* const* reqs, std::size_t n,
-                          AdmitResult* outcomes = nullptr) {
+  // terminates (with partial results).  Each request's verdict lands in
+  // its submit_outcome(); the return value is the worst of them (worst_of
+  // severity order).
+  AdmitResult submit_many(Request* const* reqs, std::size_t n) {
     if (n == 0) return AdmitResult::kAccepted;
     const std::uint64_t t0 = now_ns();
     const std::size_t nodes = static_cast<std::size_t>(map_.node_count());
@@ -212,17 +211,15 @@ class KvServer {
     for (std::size_t d = 0; d < nodes; ++d) {
       auto& b = buckets[d];
       if (b.empty()) continue;
-      const PoolPublish pub =
+      const std::size_t published =
           pool_.submit_many(static_cast<int>(d), b.data(), b.size());
-      for (std::size_t j = pub.published; j < b.size(); ++j) {  // refused
+      for (std::size_t j = published; j < b.size(); ++j) {  // refused
         b[j].parent->pending.fetch_sub(1, std::memory_order_release);
         b[j].parent->outcome =
             worst_of(b[j].parent->outcome, AdmitResult::kShutdown);
         batch = worst_of(batch, AdmitResult::kShutdown);
       }
     }
-    if (outcomes)
-      for (std::size_t i = 0; i < n; ++i) outcomes[i] = reqs[i]->outcome;
     return batch;
   }
 

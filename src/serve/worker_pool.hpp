@@ -56,7 +56,6 @@
 #include "src/harness/topology.hpp"
 #include "src/rmr/provider.hpp"
 #include "src/serve/config.hpp"
-#include "src/serve/request.hpp"
 
 namespace bjrw::serve {
 
@@ -221,14 +220,6 @@ inline constexpr std::size_t kBurst = 16;
 // *all* nodes while execution only ever lands where threads can run.
 // Without the reroute the width clamp would hit 0 and every submit would
 // spin forever against a consumerless queue.
-// Result of a batched publish: how much of the batch made it into the
-// ring, and the typed outcome (`published < n` only under kShutdown —
-// full-queue pressure yields inside the call, it never refuses).
-struct PoolPublish {
-  std::size_t published = 0;
-  AdmitResult outcome = AdmitResult::kAccepted;
-};
-
 template <class Item>
 class WorkerPool {
  public:
@@ -288,9 +279,9 @@ class WorkerPool {
   }
 
   // Publishes items[0..n) to node d's queue, one ring reservation per
-  // claimed run, yielding through full-queue backpressure.  Reports the
-  // published prefix k; k < n (outcome kShutdown) only when the pool is
-  // stopping.  Every published item will be executed by the shutdown
+  // claimed run, yielding through full-queue backpressure.  Returns the
+  // published prefix k; k < n only when the pool is stopping (a full queue
+  // never refuses).  Every published item will be executed by the shutdown
   // drain, even when the call races shutdown().  The guarantee is carried
   // by the per-node `submitting` window (seq_cst, like shutdown's stop
   // store and the workers' exit check): the whole batch publishes inside
@@ -301,17 +292,13 @@ class WorkerPool {
   // attempt bounds how far a batch racing shutdown() can run.  The window
   // lives in the target node's padded NodeState line, so submits to
   // different nodes never contend on it.
-  PoolPublish submit_many(int d, const Item* items, std::size_t n) {
-    if (n == 0) return {0, AdmitResult::kAccepted};
+  std::size_t submit_many(int d, const Item* items, std::size_t n) {
+    if (n == 0) return 0;
     NodeState& node = nodes_[idx(route_[idx(d)])];
     node.submitting.fetch_add(1, std::memory_order_seq_cst);
     std::size_t done = 0;
-    bool stopped = false;
     while (done < n) {
-      if (stopping_.load(std::memory_order_seq_cst)) {
-        stopped = true;
-        break;
-      }
+      if (stopping_.load(std::memory_order_seq_cst)) break;
       const std::size_t k = node.queue->try_push_bulk(items + done, n - done);
       if (k == 0) {
         node.backpressure.fetch_add(1, std::memory_order_relaxed);
@@ -322,7 +309,7 @@ class WorkerPool {
     }
     node.submitting.fetch_sub(1, std::memory_order_seq_cst);
     if (done > 0) maybe_wake(node);
-    return {done, stopped ? AdmitResult::kShutdown : AdmitResult::kAccepted};
+    return done;
   }
 
   // Refuses new work, drains everything already queued, joins the workers.

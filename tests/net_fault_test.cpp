@@ -5,9 +5,10 @@
 // short/split/coalesced/delayed I/O preserves end-to-end integrity, a
 // connection reset is survived by the client's reconnect path (the sync
 // conveniences and the loadgen's pipelines alike), shed refusals are
-// retried within their attempt budget, a hung server costs the per-op
-// budget instead of blocking forever, an undefined status byte is a
-// protocol error, and an op budget too large for the clock never expires.
+// retried within their attempt budget without stalling the other ops on
+// their connection, a hung server costs the per-op budget instead of
+// blocking forever, an undefined status byte is a protocol error, and an
+// op budget too large for the clock never expires.
 // The CI stress matrix also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -15,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -302,6 +304,43 @@ TEST(NetFault, LoadgenRetriesShedOpsWithinTheirBudget) {
   EXPECT_EQ(r.timeouts, 0u);
   EXPECT_EQ(r.reconnects, 0u);
   expect_every_attempt_accounted(cfg, r);
+}
+
+TEST(NetFault, LoadgenBackoffDoesNotStallThePipeline) {
+  // The same never-refilling 16-token buckets, one connection eight deep,
+  // and a 200 ms base backoff: most ops shed and wait out a backoff before
+  // their one retry.  The wait belongs to the shed op alone — the
+  // connection's other answers must keep being read meanwhile.
+  Loopback lb(Loopback::server_config().with_admission(/*rate=*/1e-3,
+                                                       /*bucket=*/16));
+  ASSERT_TRUE(lb.net.ok());
+  LoadgenConfig cfg;
+  cfg.port = lb.net.port();
+  cfg.connections = 1;
+  cfg.depth = 8;
+  cfg.requests_per_conn = 32;
+  cfg.client.op_timeout_ms = 10'000;
+  cfg.client.retry.max_attempts = 2;
+  cfg.client.retry.base_backoff_ns = 200'000'000;
+  const LoadgenResult r = run_loadgen(cfg);
+  EXPECT_TRUE(r.ok);
+  EXPECT_GT(r.shed, 0u);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_EQ(r.timeouts, 0u);
+  expect_every_attempt_accounted(cfg, r);
+  // The base clamps to kMaxBackoffNs (64 ms), so the shortest backoff a
+  // shed op can draw is the jitter floor, half of that: 32 ms.  A sample
+  // that long means its answer sat unread behind some op's backoff.  An
+  // unstalled loopback round trip takes microseconds, and a descheduled
+  // thread on an oversubscribed or sanitized run loses a scheduler tick
+  // or two (4 ms each at 250 Hz), not eight.
+  const double floor_ns =
+      0.5 * static_cast<double>(
+                std::min(cfg.client.retry.base_backoff_ns, kMaxBackoffNs));
+  double worst_ns = 0.0;
+  for (const double ns : r.latency_ns) worst_ns = std::max(worst_ns, ns);
+  EXPECT_LT(worst_ns, floor_ns) << "a latency sample absorbed a backoff";
 }
 
 TEST(NetFault, LoadgenReconnectsThroughResetAndAccountsEveryOp) {

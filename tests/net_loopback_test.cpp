@@ -3,10 +3,10 @@
 // get/put/erase/get_many roundtrips (empty batch included), multi-node
 // batches on a simulated 2x4 topology, pipelined out-of-order id
 // correlation, protocol-error replies (oversized frame, bad magic, any
-// other protocol version, unknown type), typed shed refusals, TTL and
-// deadline-budget ops, concurrent clients, the event loop's
-// spin-then-park idle loop, and orderly server stop.  The CI stress
-// matrix also runs this binary under ThreadSanitizer.
+// other protocol version, unknown type), typed shed refusals (a burst past
+// the slot pool included), TTL and deadline-budget ops, concurrent
+// clients, the event loop's spin-then-park idle loop, and orderly server
+// stop.  The CI stress matrix also runs this binary under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -238,8 +238,8 @@ TEST(NetLoopback, AdmissionShedIsTypedAndConnectionKeepsServing) {
   // Two tokens per node-0 bucket, a refill rate of ~1 token per 17
   // minutes: the first two ops against node 0 are admitted, everything
   // after sheds.  The shed response must be a typed status frame, and the
-  // connection must keep serving — the EPOLLIN re-arm after an inline
-  // refusal is exactly what this exercises.
+  // connection must keep serving — a refused slot is answered by the
+  // completion sweep and recycled like any other, which this exercises.
   const serve::ServeConfig scfg = serve::ServeConfig{}
                                       .with_workers(2)
                                       .with_admission(/*rate=*/1e-3,
@@ -278,6 +278,59 @@ TEST(NetLoopback, AdmissionShedIsTypedAndConnectionKeepsServing) {
   for (int d = 0; d < lb.kv.node_count(); ++d)
     shed += lb.kv.node_stats(d).shed;
   EXPECT_GE(shed, 2u);
+}
+
+TEST(NetLoopback, ShedBurstBeyondTheSlotPoolIsAnsweredInFull) {
+  // A one-token node-0 bucket that never refills in test time: one put
+  // drains it, then three slot pools' worth of node-0 puts arrive in one
+  // flush.  Every refused slot must be answered and recycled, so the
+  // connection walks through slot exhaustion (read interest dropped,
+  // re-armed once refusals free slots) without losing or doubling a frame.
+  const serve::ServeConfig scfg = serve::ServeConfig{}
+                                      .with_workers(2)
+                                      .with_admission(/*rate=*/1e-3,
+                                                      /*bucket=*/1);
+  Loopback lb(scfg);
+  ASSERT_TRUE(lb.net.ok());
+  constexpr std::size_t kFrames = 3 * kSlotsPerConnection;
+  std::vector<std::uint64_t> k0;
+  for (std::uint64_t k = 0; k0.size() < kFrames; ++k)
+    if (lb.kv.map().node_of_key(k) == 0) k0.push_back(k);
+
+  ClientConfig ccfg;
+  ccfg.op_timeout_ms = 10'000;  // a lost answer fails instead of hanging
+  KvClient c = lb.client(ccfg);
+  ASSERT_TRUE(c.put(k0[0], 1));  // spends node 0's only token
+
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < kFrames; ++i)
+    ids.push_back(c.submit_put(k0[i], i));
+  ASSERT_TRUE(c.flush());
+  std::vector<int> answers(kFrames, 0);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    Response r;
+    ASSERT_TRUE(c.recv_response(&r)) << "answer " << i << " never came";
+    ASSERT_GE(r.id, ids.front());
+    ASSERT_LE(r.id, ids.back());
+    EXPECT_EQ(r.type, MsgType::kPutResp);
+    EXPECT_EQ(r.status, WireStatus::kShed);
+    answers[r.id - ids.front()] += 1;
+  }
+  for (std::size_t i = 0; i < kFrames; ++i)
+    EXPECT_EQ(answers[i], 1) << "request id " << ids[i];
+
+  std::uint64_t shed = 0;
+  for (int d = 0; d < lb.kv.node_count(); ++d)
+    shed += lb.kv.node_stats(d).shed;
+  EXPECT_EQ(shed, kFrames);
+
+  // The connection still serves after the burst.
+  const std::uint64_t id = c.submit_get(k0[0]);
+  ASSERT_TRUE(c.flush());
+  Response r;
+  ASSERT_TRUE(c.recv_response(&r));
+  EXPECT_EQ(r.id, id);
+  EXPECT_EQ(r.type, MsgType::kGetResp);
 }
 
 TEST(NetLoopback, ConcurrentClientsSeeEachOthersWrites) {

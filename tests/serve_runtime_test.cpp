@@ -168,9 +168,9 @@ TEST(BoundedMpmcQueue, FifoBoundedAndEdgeConditions) {
 
 // ---- worker pool ------------------------------------------------------------
 
-// One item through the pool's only publish call.
-AdmitResult submit_one(WorkerPool<int>& pool, int node, int item) {
-  return pool.submit_many(node, &item, 1).outcome;
+// One item through the pool's only publish call; true when it published.
+bool submit_one(WorkerPool<int>& pool, int node, int item) {
+  return pool.submit_many(node, &item, 1) == 1;
 }
 
 TEST(WorkerPool, WorkRunsOnTheSubmittedNodeWithNodeMappedTids) {
@@ -194,7 +194,7 @@ TEST(WorkerPool, WorkRunsOnTheSubmittedNodeWithNodeMappedTids) {
   EXPECT_EQ(pool.node_count(), 2);
   EXPECT_EQ(pool.workers_per_node(), 2);
   for (int i = 0; i < 40; ++i)
-    EXPECT_EQ(submit_one(pool, i % 2, i), AdmitResult::kAccepted);
+    EXPECT_TRUE(submit_one(pool, i % 2, i));
   pool.shutdown();
 
   for (int i = 0; i < 40; ++i) {
@@ -220,12 +220,12 @@ TEST(WorkerPool, GracefulShutdownDrainsQueuedItemsAndRefusesNewOnes) {
       });
   std::uint64_t expect = 0;
   for (int i = 1; i <= 100; ++i) {
-    ASSERT_EQ(submit_one(*pool, i % 2, i), AdmitResult::kAccepted);
+    ASSERT_TRUE(submit_one(*pool, i % 2, i));
     expect += static_cast<std::uint64_t>(i);
   }
   pool->shutdown();  // must drain all 100, not drop the queued tail
   EXPECT_EQ(sum.load(), expect);
-  EXPECT_EQ(submit_one(*pool, 0, 7), AdmitResult::kShutdown)
+  EXPECT_FALSE(submit_one(*pool, 0, 7))
       << "submit after shutdown must refuse";
   EXPECT_EQ(sum.load(), expect);
   pool.reset();  // double-shutdown via destructor is fine
@@ -618,7 +618,7 @@ TEST(WorkerPool, BurstModeExecutesEverythingWithBulkClaims) {
   constexpr int kItems = 4000;
   std::uint64_t expect = 0;
   for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(submit_one(pool, i % 2, i), AdmitResult::kAccepted);
+    ASSERT_TRUE(submit_one(pool, i % 2, i));
     expect += static_cast<std::uint64_t>(i);
   }
   pool.shutdown();
@@ -647,8 +647,7 @@ TEST(WorkerPool, ClaimsFitARingSmallerThanTheBurst) {
   std::vector<int> batch(100);
   for (int i = 0; i < 100; ++i) batch[static_cast<std::size_t>(i)] = i;
   for (int round = 0; round < 10; ++round)
-    ASSERT_EQ(pool.submit_many(0, batch.data(), batch.size()).published,
-              batch.size());
+    ASSERT_EQ(pool.submit_many(0, batch.data(), batch.size()), batch.size());
   pool.shutdown();
   EXPECT_EQ(sum.load(), 10u * 99u * 100u / 2u);
   EXPECT_EQ(pool.executed(0), 1000u);
@@ -672,21 +671,13 @@ TEST(WorkerPool, SubmitManyPublishesTheWholeBatch) {
     batch[static_cast<std::size_t>(i)] = i;
     expect += static_cast<std::uint64_t>(i);
   }
-  const serve::PoolPublish pub0 =
-      pool.submit_many(0, batch.data(), batch.size());
-  EXPECT_EQ(pub0.published, batch.size());
-  EXPECT_EQ(pub0.outcome, AdmitResult::kAccepted);
-  const serve::PoolPublish pub1 =
-      pool.submit_many(1, batch.data(), batch.size());
-  EXPECT_EQ(pub1.published, batch.size());
-  EXPECT_EQ(pub1.outcome, AdmitResult::kAccepted);
+  EXPECT_EQ(pool.submit_many(0, batch.data(), batch.size()), batch.size());
+  EXPECT_EQ(pool.submit_many(1, batch.data(), batch.size()), batch.size());
   pool.shutdown();
   EXPECT_EQ(sum.load(), 2 * expect);
   EXPECT_EQ(pool.executed(0) + pool.executed(1), 600u);
-  const serve::PoolPublish late =
-      pool.submit_many(0, batch.data(), batch.size());
-  EXPECT_EQ(late.published, 0u) << "submit_many after shutdown must refuse";
-  EXPECT_EQ(late.outcome, AdmitResult::kShutdown);
+  EXPECT_EQ(pool.submit_many(0, batch.data(), batch.size()), 0u)
+      << "submit_many after shutdown must refuse";
 }
 
 // ---- cross-request shard grouping + scatter ---------------------------------
@@ -766,10 +757,9 @@ TEST(KvServer, SubmitManyMixesPointOpsAndBatches) {
   put2.key = 22;
   put2.value = 220;
   Request* phase1[] = {&put1, &put2};
-  AdmitResult acc[4] = {};
-  EXPECT_EQ(server.submit_many(phase1, 2, acc), AdmitResult::kAccepted);
-  EXPECT_EQ(acc[0], AdmitResult::kAccepted);
-  EXPECT_EQ(acc[1], AdmitResult::kAccepted);
+  EXPECT_EQ(server.submit_many(phase1, 2), AdmitResult::kAccepted);
+  EXPECT_EQ(put1.submit_outcome(), AdmitResult::kAccepted);
+  EXPECT_EQ(put2.submit_outcome(), AdmitResult::kAccepted);
   put1.wait();
   put2.wait();
 
@@ -811,9 +801,7 @@ TEST(KvServer, SubmitManyMixesPointOpsAndBatches) {
   getb.reset();
   std::fill(std::begin(out), std::end(out), std::nullopt);
   Request* phase4[] = {&getb};
-  AdmitResult acc4[1] = {AdmitResult::kAccepted};
-  EXPECT_EQ(server.submit_many(phase4, 1, acc4), AdmitResult::kShutdown);
-  EXPECT_EQ(acc4[0], AdmitResult::kShutdown);
+  EXPECT_EQ(server.submit_many(phase4, 1), AdmitResult::kShutdown);
   EXPECT_EQ(getb.submit_outcome(), AdmitResult::kShutdown);
   getb.wait();  // refused slices were discounted: terminates
 }
