@@ -19,14 +19,14 @@
 //    fast path a purely local operation for read-mostly serving (E15 and
 //    E17 measure the difference).
 //
-//  * Striped statistics, striped the same way the load is: hit/miss
-//    counters (bumped on the *read* path) are striped per thread — each
-//    lookup RMWs only its own padded line, so stat upkeep never undoes the
-//    distributed-reader lock's local fast path.  Size/put/erase counters
-//    (write-path only) are striped per shard and mutated under the shard's
-//    write lock.  `size()` and `stats()` sum the stripes — exact at
-//    quiescence, momentarily approximate under concurrent mutation (the
-//    usual striped-counter contract).
+//  * A striped size and nothing else: the read path keeps no counters at
+//    all, so a lookup writes nothing but its lock's own words and the
+//    distributed-reader lock's local fast path stays local.  Each shard's
+//    entry count is written only under that shard's write lock (one writer
+//    at a time, no RMW); `size()` sums the stripes without locking — exact
+//    at quiescence, momentarily approximate under concurrent mutation.
+//    Serving statistics live in the server's per-worker stripes
+//    (KvServer::node_stats), not here.
 //
 //  * Bulk lookups: `get_many` groups keys by shard and takes each shard's
 //    read lock once per batch, amortizing lock traffic for the
@@ -60,16 +60,6 @@
 
 namespace bjrw {
 
-// Aggregate of the striped per-shard counters (see ShardedMap::stats).
-struct MapStats {
-  std::uint64_t size = 0;    // live entries (incl. expired-not-yet-swept)
-  std::uint64_t hits = 0;    // get/contains/get_many that found the key
-  std::uint64_t misses = 0;  // ... that did not (incl. lease-expired)
-  std::uint64_t puts = 0;    // put/put_if_absent/update calls that mutated
-  std::uint64_t erases = 0;  // successful erase calls
-  std::uint64_t expired_reads = 0;  // reads filtered by an expired lease
-};
-
 template <class Key, class Value, ReaderWriterLock Lock = WriterPriorityLock,
           class Hash = std::hash<Key>>
 class ShardedMap {
@@ -81,11 +71,7 @@ class ShardedMap {
   // deadline until the sweep removes them.
   explicit ShardedMap(int max_threads, std::size_t shards = 16,
                       const ClockSource* clock = nullptr)
-      : hash_(),
-        clock_(clock),
-        read_stats_(std::make_unique<ReadStats[]>(
-            static_cast<std::size_t>(max_threads))),
-        max_threads_(max_threads) {
+      : hash_(), clock_(clock) {
     shards_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i)
       shards_.push_back(std::make_unique<Shard>(max_threads));
@@ -97,15 +83,7 @@ class ShardedMap {
     const Shard& s = shard(key);
     ReadGuard g(s.lock, tid);
     const auto it = s.map.find(key);
-    if (it == s.map.end()) {
-      bump_miss(tid, 1);
-      return std::nullopt;
-    }
-    if (!alive(it->second)) {
-      bump_expired(tid, 1);
-      return std::nullopt;
-    }
-    bump_hit(tid, 1);
+    if (it == s.map.end() || !alive(it->second)) return std::nullopt;
     return it->second.value;
   }
 
@@ -113,16 +91,7 @@ class ShardedMap {
     const Shard& s = shard(key);
     ReadGuard g(s.lock, tid);
     const auto it = s.map.find(key);
-    if (it == s.map.end()) {
-      bump_miss(tid, 1);
-      return false;
-    }
-    if (!alive(it->second)) {
-      bump_expired(tid, 1);
-      return false;
-    }
-    bump_hit(tid, 1);
-    return true;
+    return it != s.map.end() && alive(it->second);
   }
 
   // Bulk lookup: results[i] corresponds to keys[i].  Keys are grouped by
@@ -148,19 +117,13 @@ class ShardedMap {
   void get_many_into(int tid, const Key* keys, std::size_t n,
                      std::optional<Value>* out) const {
     if (n == 0) return;
-    std::uint64_t hits = 0, misses = 0, expired = 0;
     const Key* prev_key = nullptr;            // last key resolved in the
     const std::optional<Value>* prev_out = nullptr;  // current shard group
     const auto resolve = [&](const Shard& s, std::size_t j) {
       if (prev_key && keys[j] == *prev_key) {
         out[j] = *prev_out;  // duplicate: no second table probe
-        if (out[j]) {
-          ++hits;
-        } else {
-          ++misses;
-        }
       } else {
-        lookup_into(s, keys[j], &out[j], &hits, &misses, &expired);
+        lookup_into(s, keys[j], &out[j]);
       }
       prev_key = &keys[j];
       prev_out = &out[j];
@@ -192,9 +155,6 @@ class ShardedMap {
         for (const std::size_t i : by_shard[si]) resolve(s, i);
       }
     }
-    if (hits) bump_hit(tid, hits);
-    if (misses) bump_miss(tid, misses);
-    if (expired) bump_expired(tid, expired);
   }
 
   // Inserts or overwrites; returns true if the key was newly inserted.
@@ -207,8 +167,7 @@ class ShardedMap {
     const bool inserted =
         s.map.insert_or_assign(key, Entry{std::move(value), s.next_version++, 0})
             .second;
-    s.stats.puts.fetch_add(1, std::memory_order_relaxed);
-    if (inserted) s.stats.size.fetch_add(1, std::memory_order_relaxed);
+    if (inserted) publish_size(s);
     return inserted;
   }
 
@@ -220,8 +179,7 @@ class ShardedMap {
         s.map.emplace(key, Entry{std::move(value), s.next_version, 0}).second;
     if (inserted) {
       ++s.next_version;
-      s.stats.puts.fetch_add(1, std::memory_order_relaxed);
-      s.stats.size.fetch_add(1, std::memory_order_relaxed);
+      publish_size(s);
     }
     return inserted;
   }
@@ -239,8 +197,7 @@ class ShardedMap {
     const bool inserted =
         s.map.insert_or_assign(key, Entry{std::move(value), ver, expire_at_ns})
             .second;
-    s.stats.puts.fetch_add(1, std::memory_order_relaxed);
-    if (inserted) s.stats.size.fetch_add(1, std::memory_order_relaxed);
+    if (inserted) publish_size(s);
     return ver;
   }
 
@@ -256,7 +213,6 @@ class ShardedMap {
     if (it == s.map.end() || !alive(it->second)) return std::nullopt;
     it->second.version = s.next_version++;
     it->second.expire_at_ns = expire_at_ns;
-    s.stats.puts.fetch_add(1, std::memory_order_relaxed);
     return it->second.version;
   }
 
@@ -264,10 +220,7 @@ class ShardedMap {
     Shard& s = shard(key);
     WriteGuard g(s.lock, tid);
     const bool erased = s.map.erase(key) > 0;
-    if (erased) {
-      s.stats.erases.fetch_add(1, std::memory_order_relaxed);
-      s.stats.size.fetch_sub(1, std::memory_order_relaxed);
-    }
+    if (erased) publish_size(s);
     return erased;
   }
 
@@ -318,9 +271,7 @@ class ShardedMap {
     fn(e.value);
     e.version = s.next_version++;
     e.expire_at_ns = 0;
-    s.stats.puts.fetch_add(1, std::memory_order_relaxed);
-    if (s.map.size() != before)
-      s.stats.size.fetch_add(1, std::memory_order_relaxed);
+    if (s.map.size() != before) publish_size(s);
   }
 
   // Applies `fn(key, value)` to every non-expired element, shard by shard,
@@ -348,33 +299,15 @@ class ShardedMap {
     return std::make_pair(it->second.version, it->second.expire_at_ns);
   }
 
-  // Striped size: sums the per-shard counters without taking any lock —
-  // exact at quiescence (each stripe is maintained under its shard's write
+  // Striped size: sums the per-shard counts without taking any lock —
+  // exact at quiescence (each stripe is written under its shard's write
   // lock), approximate while mutations are in flight.  Counts physical
   // entries, including expired-but-not-yet-swept ones.
   std::size_t size(int /*tid*/ = 0) const {
     std::uint64_t total = 0;
     for (const auto& s : shards_)
-      total += s->stats.size.load(std::memory_order_relaxed);
+      total += s->size.load(std::memory_order_relaxed);
     return static_cast<std::size_t>(total);
-  }
-
-  // Aggregated striped statistics (same consistency contract as size()).
-  MapStats stats(int /*tid*/ = 0) const {
-    MapStats m;
-    for (const auto& s : shards_) {
-      m.size += s->stats.size.load(std::memory_order_relaxed);
-      m.puts += s->stats.puts.load(std::memory_order_relaxed);
-      m.erases += s->stats.erases.load(std::memory_order_relaxed);
-    }
-    for (int t = 0; t < max_threads_; ++t) {
-      m.hits += read_stats_[idx(t)].hits.load(std::memory_order_relaxed);
-      m.misses += read_stats_[idx(t)].misses.load(std::memory_order_relaxed);
-      m.expired_reads +=
-          read_stats_[idx(t)].expired.load(std::memory_order_relaxed);
-    }
-    m.misses += m.expired_reads;  // an expired read is a miss to the caller
-    return m;
   }
 
   std::size_t shard_count() const { return shards_.size(); }
@@ -398,30 +331,14 @@ class ShardedMap {
     std::uint64_t expire_at_ns = 0;
   };
 
-  // Write-path stripe, one per shard: size/puts/erases are only written
-  // under the shard's write lock but are read lock-free by size()/stats(),
-  // so they are atomics; padded so neighbouring shards never share a line.
-  struct alignas(64) ShardStats {
-    std::atomic<std::uint64_t> size{0};
-    std::atomic<std::uint64_t> puts{0};
-    std::atomic<std::uint64_t> erases{0};
-  };
-
-  // Read-path stripe, one per thread: hit/miss upkeep must not put a shared
-  // RMW on the lookup path (that would undo the distributed-reader lock's
-  // local fast path), so each tid bumps only its own padded line.
-  struct alignas(64) ReadStats {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> expired{0};
-  };
-
   struct Shard {
     explicit Shard(int max_threads) : lock(max_threads) {}
     mutable Lock lock;
     std::unordered_map<Key, Entry, Hash> map;
     std::uint64_t next_version = 1;  // guarded by lock (write side)
-    mutable ShardStats stats;
+    // map.size() as of the last mutation: written only by publish_size()
+    // under the write lock, read lock-free by size(), hence atomic.
+    std::atomic<std::uint64_t> size{0};
   };
 
   // Lease liveness under the map's clock (no clock = everything alive).
@@ -435,34 +352,23 @@ class ShardedMap {
     const auto it = s.map.find(key);
     if (it == s.map.end() || it->second.version != version) return false;
     s.map.erase(it);
-    s.stats.erases.fetch_add(1, std::memory_order_relaxed);
-    s.stats.size.fetch_sub(1, std::memory_order_relaxed);
+    publish_size(s);
     return true;
   }
 
-  void bump_hit(int tid, std::uint64_t n) const {
-    read_stats_[idx(tid)].hits.fetch_add(n, std::memory_order_relaxed);
-  }
-  void bump_miss(int tid, std::uint64_t n) const {
-    read_stats_[idx(tid)].misses.fetch_add(n, std::memory_order_relaxed);
-  }
-  void bump_expired(int tid, std::uint64_t n) const {
-    read_stats_[idx(tid)].expired.fetch_add(n, std::memory_order_relaxed);
+  // The one writer site of a shard's `size`; every caller holds the shard's
+  // write lock, so the stripe has one writer at a time and the lock orders
+  // successive writers: a plain store, no RMW.
+  static void publish_size(Shard& s) {
+    s.size.store(s.map.size(), std::memory_order_relaxed);
   }
 
-  // One lookup in shard `s` (whose read lock the caller holds) into `*slot`.
-  void lookup_into(const Shard& s, const Key& key, std::optional<Value>* slot,
-                   std::uint64_t* hits, std::uint64_t* misses,
-                   std::uint64_t* expired) const {
+  // One lookup in shard `s` (whose read lock the caller holds) into `*slot`;
+  // a missing or lease-expired key leaves `*slot` untouched.
+  void lookup_into(const Shard& s, const Key& key,
+                   std::optional<Value>* slot) const {
     const auto it = s.map.find(key);
-    if (it == s.map.end()) {
-      ++*misses;
-    } else if (!alive(it->second)) {
-      ++*expired;
-    } else {
-      *slot = it->second.value;
-      ++*hits;
-    }
+    if (it != s.map.end() && alive(it->second)) *slot = it->second.value;
   }
 
   std::size_t shard_index(const Key& key) const {
@@ -476,8 +382,6 @@ class ShardedMap {
   Hash hash_;
   const ClockSource* clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ReadStats[]> read_stats_;  // per-tid hit/miss stripes
-  int max_threads_;
 };
 
 }  // namespace bjrw

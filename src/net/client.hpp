@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,9 +96,17 @@ inline constexpr std::uint64_t kMaxBackoffNs = 64'000'000;  // 64ms
 // itself so a fleet of clients shed together does not retry together.
 struct RetryPolicy {
   int max_attempts = 3;                        // total tries per op
-  std::uint64_t base_backoff_ns = 1'000'000;   // 1ms
+  std::uint64_t base_backoff_ns = 1'000'000;   // 1ms, at most kMaxBackoffNs
   bool reconnect = true;                       // reopen after reset/timeout
   std::uint64_t seed = 0x5eedULL;              // jitter stream
+
+  // Throws std::invalid_argument for a base above the cap, which would
+  // otherwise wait the cap, not the configured base.
+  void validate() const {
+    if (base_backoff_ns > kMaxBackoffNs)
+      throw std::invalid_argument(
+          "RetryPolicy: base_backoff_ns above kMaxBackoffNs");
+  }
 };
 
 struct ClientConfig {
@@ -134,9 +143,11 @@ struct Settle {
 
 class KvClient {
  public:
-  // Connects to 127.0.0.1:<port>; nullopt on failure.
+  // Connects to 127.0.0.1:<port>; nullopt on failure.  Throws
+  // std::invalid_argument on a RetryPolicy that fails validate().
   static std::optional<KvClient> connect(std::uint16_t port,
                                          const ClientConfig& cfg = {}) {
+    cfg.retry.validate();
     const int fd = open_socket(port);
     if (fd < 0) return std::nullopt;
     return KvClient(fd, port, cfg);

@@ -144,8 +144,11 @@ inline void log_type_mismatch_once(std::uint64_t id, MsgType got,
 
 // Runs the configured load against 127.0.0.1:<cfg.port>.  The server must
 // already be listening.  Blocking: returns when every connection drained
-// its request list.
+// its request list.  Throws std::invalid_argument on an invalid retry
+// policy, before any connection thread starts (a throw inside one would
+// terminate the process).
 inline LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
+  cfg.client.retry.validate();
   struct ConnResult {
     bool ok = false;
     std::uint64_t requests = 0, ops = 0, hits = 0, errors = 0;

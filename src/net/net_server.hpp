@@ -60,6 +60,7 @@
 
 #include "src/harness/fault.hpp"
 #include "src/harness/idle.hpp"
+#include "src/harness/stats.hpp"
 #include "src/harness/timing.hpp"
 #include "src/net/wire.hpp"
 #include "src/serve/config.hpp"
@@ -235,7 +236,7 @@ class NetServer {
       if (stopping_.load(std::memory_order_acquire) && quiescent()) break;
       const bool park = !busy && !stopping_.load(std::memory_order_relaxed) &&
                         idle.should_park(now_ns());
-      if (park) loop_parks_.fetch_add(1, std::memory_order_relaxed);
+      if (park) single_writer_add(loop_parks_);
       const int n = ::epoll_wait(epoll_fd_, events.data(),
                                  static_cast<int>(events.size()),
                                  park ? -1 : 0);
@@ -299,7 +300,7 @@ class NetServer {
       if (idx == conns_.size()) conns_.push_back(nullptr);
       conns_[idx] = std::move(conn);
       add_epoll(fd, EPOLLIN, idx);
-      accepted_.fetch_add(1, std::memory_order_relaxed);
+      single_writer_add(accepted_);
       any = true;
     }
     return any;
@@ -460,7 +461,7 @@ class NetServer {
         begin_drain(c, idx);
         return;
       }
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
+      single_writer_add(dispatched_);
     }
     flush_staged(c);
     compact(c);
@@ -642,13 +643,13 @@ class NetServer {
   Handle malformed(Connection& c, std::uint64_t id) {
     pack_error_resp(c.wbuf, id, ErrorCode::kMalformed,
                     "body does not match the frame length");
-    proto_errors_.fetch_add(1, std::memory_order_relaxed);
+    single_writer_add(proto_errors_);
     return Handle::kOk;  // frame boundary intact: connection survives
   }
 
   void protocol_error(Connection& c, std::size_t idx, std::uint64_t id,
                       ErrorCode code, const char* detail, bool close) {
-    proto_errors_.fetch_add(1, std::memory_order_relaxed);
+    single_writer_add(proto_errors_);
     if (!c.peer_gone) pack_error_resp(c.wbuf, id, code, detail);
     if (close) {
       begin_drain(c, idx);
@@ -782,6 +783,8 @@ class NetServer {
   std::uint16_t port_ = 0;
   bool ok_ = false;
   std::atomic<bool> stopping_{false};
+  // Observer counters: written only by the loop thread (single_writer_add),
+  // read by any thread.
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> proto_errors_{0};

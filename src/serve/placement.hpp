@@ -12,9 +12,9 @@
 // `k % local_shards` share factors and would leave local shards empty).
 //
 // NumaShardedMap composes one ShardedMap *per node* (extras/sharded_map.hpp
-// unchanged: per-shard locks, striped stats, deduplicated get_many) under
+// unchanged: per-shard locks, striped size, deduplicated get_many) under
 // that placement.  Node-local allocation is first-touch: each node's
-// sub-map — shard tables, lock state, stats stripes — is constructed by a
+// sub-map — shard tables, lock state, size stripes — is constructed by a
 // thread pinned to that node, so on a real NUMA machine those pages are
 // homed where the node's pinned workers (worker_pool.hpp) will touch them.
 // Values inserted later follow the writer that inserts them, which the
@@ -256,24 +256,10 @@ class NumaShardedMap {
     return out;
   }
 
-  // ---- aggregate statistics (ShardedMap::stats() contract) ------------------
-
+  // Entry count over every node (ShardedMap::size() contract).
   std::size_t size(int /*tid*/ = 0) const {
     std::size_t total = 0;
     for (const auto& m : submaps_) total += m->size();
-    return total;
-  }
-  MapStats stats() const {
-    MapStats total;
-    for (const auto& m : submaps_) {
-      const MapStats s = m->stats();
-      total.size += s.size;
-      total.hits += s.hits;
-      total.misses += s.misses;
-      total.puts += s.puts;
-      total.erases += s.erases;
-      total.expired_reads += s.expired_reads;
-    }
     return total;
   }
 

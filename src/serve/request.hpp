@@ -97,7 +97,6 @@ struct Request {
   std::vector<std::uint32_t> order;
   std::uint64_t submit_ns = 0;                // stamped at dispatch
   std::atomic<std::uint64_t> hits{0};         // keys found (gets), 1/0 (erase)
-  std::atomic<std::uint64_t> value_sum{0};    // checksum over found values
   std::atomic<std::uint32_t> pending{0};      // outstanding sub-requests
   std::atomic<std::uint32_t> dropped{0};      // slices dropped at dequeue
   // Admission outcome — the one record of this request's verdict, written
@@ -120,7 +119,6 @@ struct Request {
   // Resets the runtime-filled fields for resubmission of the same object.
   void reset() {
     hits.store(0, std::memory_order_relaxed);
-    value_sum.store(0, std::memory_order_relaxed);
     pending.store(0, std::memory_order_relaxed);
     dropped.store(0, std::memory_order_relaxed);
     submit_ns = 0;

@@ -6,9 +6,9 @@
 // Dispatch: a batched get is grouped by owning node (one counting sort)
 // and becomes one SubRequest per involved node; point ops become one.
 // Under node-local dispatch each slice is enqueued on its *owning* node's
-// pool, so the worker that takes the shard's read lock, walks the shard
-// table, and bumps the stats stripe is a thread the topology maps to the
-// node where all of those lines were first-touched.  Under node-oblivious
+// pool, so the worker that takes the shard's read lock and walks the shard
+// table is a thread the topology maps to the node where those lines were
+// first-touched.  Under node-oblivious
 // dispatch (the E18 control arm) the same slices round-robin across all
 // pools: identical work, identical batching, only the placement awareness
 // removed — the difference between the two rows is pure node-locality.
@@ -51,8 +51,8 @@ struct NodeServeStats {
   std::uint64_t ops = 0;            // keys looked up / point ops applied
   std::uint64_t completed = 0;      // requests whose final slice ran here
   std::uint64_t backpressure = 0;   // full-queue submit retries
-  std::uint64_t bursts = 0;         // dequeues (sub_requests / bursts =
-                                    // mean burst depth)
+  std::uint64_t bursts = 0;         // claimed runs (sub_requests + drops
+                                    // over bursts = mean claim depth)
   std::uint64_t group_gathers = 0;  // cross-request get_many_into calls
   double latency_mean_ns = 0.0;     // over `completed` requests
   double latency_max_ns = 0.0;
@@ -329,7 +329,6 @@ class KvServer {
   NodeServeStats node_stats(int node) const {
     NodeServeStats out;
     out.backpressure = pool_.backpressure(node);
-    out.bursts = pool_.bursts(node);
     std::uint64_t latency_sum_ns = 0, latency_max_ns = 0;
     // workers_in_node, not workers_per_node: a memory-only node spawned no
     // workers and its worker_tid range is empty — iterating the configured
@@ -337,6 +336,7 @@ class KvServer {
     for (int w = 0; w < pool_.workers_in_node(node); ++w) {
       const WorkerStats& ws = worker_stats_[idx(pool_.worker_tid(node, w))];
       out.sub_requests += ws.subs.load(std::memory_order_relaxed);
+      out.bursts += ws.bursts.load(std::memory_order_relaxed);
       out.ops += ws.ops.load(std::memory_order_relaxed);
       out.group_gathers += ws.group_gathers.load(std::memory_order_relaxed);
       out.deadline_drops += ws.deadline_drops.load(std::memory_order_relaxed);
@@ -391,6 +391,7 @@ class KvServer {
   struct alignas(64) WorkerStats {
     std::atomic<std::uint64_t> ops{0};
     std::atomic<std::uint64_t> subs{0};
+    std::atomic<std::uint64_t> bursts{0};         // claimed runs handled
     std::atomic<std::uint64_t> group_gathers{0};  // cross-request gathers
     std::atomic<std::uint64_t> deadline_drops{0};  // slices dropped at dequeue
     std::atomic<std::uint64_t> completed{0};  // requests this worker finished
@@ -619,10 +620,7 @@ class KvServer {
         break;
       case RequestKind::kGet: {
         const auto v = map_.get(tid, req->keys[0]);
-        if (v) {
-          req->hits.fetch_add(1, std::memory_order_relaxed);
-          req->value_sum.fetch_add(*v, std::memory_order_relaxed);
-        }
+        if (v) req->hits.fetch_add(1, std::memory_order_relaxed);
         if (req->out) req->out[0] = v;
         single_writer_add(ws.ops);
         break;
@@ -661,6 +659,7 @@ class KvServer {
   void execute_burst(int tid, int /*node*/, SubRequest* items,
                      std::size_t n) {
     WorkerStats& ws = worker_stats_[idx(tid)];
+    single_writer_add(ws.bursts);
     using Scratch = ShardGroupScratch<std::uint64_t, std::uint64_t>;
     static thread_local std::vector<Scratch> groups;
     const std::size_t nodes = static_cast<std::size_t>(map_.node_count());
@@ -691,19 +690,13 @@ class KvServer {
         SubRequest& s = items[g.slice[j]];
         Request* req = s.parent;
         const std::uint32_t gb = g.bounds[j], ge = g.bounds[j + 1];
-        std::uint64_t hits = 0, sum = 0;
+        std::uint64_t hits = 0;
         for (std::uint32_t k = gb; k < ge; ++k) {
           const auto& v = g.got[k];
-          if (v) {
-            ++hits;
-            sum += *v;
-          }
+          if (v) ++hits;
           if (req->out) req->out[req->order[s.begin + (k - gb)]] = v;
         }
-        if (hits) {
-          req->hits.fetch_add(hits, std::memory_order_relaxed);
-          req->value_sum.fetch_add(sum, std::memory_order_relaxed);
-        }
+        if (hits) req->hits.fetch_add(hits, std::memory_order_relaxed);
         single_writer_add(ws.ops, ge - gb);
         single_writer_add(ws.subs);
         finish(ws, req);

@@ -328,16 +328,11 @@ class WorkerPool {
       if (t.joinable()) t.join();
   }
 
-  std::uint64_t executed(int d) const {
-    return nodes_[idx(d)].executed.load(std::memory_order_relaxed);
-  }
+  // Full-queue retries by submitters to node d.  What the workers ran is
+  // counted by the handler, which knows what an item is (KvServer's
+  // per-worker stripes), not here.
   std::uint64_t backpressure(int d) const {
     return nodes_[idx(d)].backpressure.load(std::memory_order_relaxed);
-  }
-  // Dequeues performed for node d (executed(d) / bursts(d) is the
-  // realized mean burst depth).
-  std::uint64_t bursts(int d) const {
-    return nodes_[idx(d)].bursts.load(std::memory_order_relaxed);
   }
   // Elasticity observers: instantaneous parked width, cumulative park and
   // wake-notify counts, and the queue-depth snapshot admission reads.
@@ -358,9 +353,7 @@ class WorkerPool {
   struct alignas(64) NodeState {
     std::unique_ptr<BoundedMpmcQueue<Item>> queue;
     std::atomic<int> submitting{0};  // open submit windows (submit_many)
-    std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> backpressure{0};
-    std::atomic<std::uint64_t> bursts{0};
     // Park/wake state (see park()): `epoch` is the wake word workers wait
     // on, `parked` the advertised parked count (seq_cst Dekker with the
     // submit window), `parks`/`wakes` cumulative counters for observers.
@@ -416,18 +409,20 @@ class WorkerPool {
     if (pin && topo_.pin_this_thread(tid))
       pinned_.fetch_add(1, std::memory_order_relaxed);
     NodeState& n = nodes_[idx(d)];
+    // The queue pointer shares NodeState's line with the `submitting` word
+    // every submit RMWs; read it once so an idle probe touches only the
+    // ring's own lines.
+    BoundedMpmcQueue<Item>& queue = *n.queue;
     // Workers beyond the committed floor are the elastic ones: only they
     // park, so a fixed-width pool is all spinners.
     const bool may_park = w >= min_width_;
-    std::vector<Item> batch(std::min(kBurst, n.queue->capacity()));
+    std::vector<Item> batch(std::min(kBurst, queue.capacity()));
     IdlePolicy idle(grace_ns_);
     std::uint32_t polls_since_maint = 0;
     for (;;) {
-      const std::size_t k = n.queue->try_pop_bulk(batch.data(), batch.size());
+      const std::size_t k = queue.try_pop_bulk(batch.data(), batch.size());
       if (k > 0) {
         handler_(tid, d, batch.data(), k);
-        n.executed.fetch_add(k, std::memory_order_relaxed);
-        n.bursts.fetch_add(1, std::memory_order_relaxed);
         idle.progressed();
         maintenance_stride(tid, d, &polls_since_maint);
         continue;
@@ -451,7 +446,7 @@ class WorkerPool {
       // stranded.
       if (stopping_.load(std::memory_order_seq_cst)) {
         if (n.submitting.load(std::memory_order_seq_cst) == 0 &&
-            n.queue->drained())
+            queue.drained())
           return;
       } else if (maintenance_ && maintenance_(tid, d)) {
         // The lane did work: treat it like a non-empty poll so an elastic

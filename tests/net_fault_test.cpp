@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -308,7 +309,7 @@ TEST(NetFault, LoadgenRetriesShedOpsWithinTheirBudget) {
 
 TEST(NetFault, LoadgenBackoffDoesNotStallThePipeline) {
   // The same never-refilling 16-token buckets, one connection eight deep,
-  // and a 200 ms base backoff: most ops shed and wait out a backoff before
+  // and the largest base backoff: most ops shed and wait out a backoff before
   // their one retry.  The wait belongs to the shed op alone — the
   // connection's other answers must keep being read meanwhile.
   Loopback lb(Loopback::server_config().with_admission(/*rate=*/1e-3,
@@ -321,7 +322,7 @@ TEST(NetFault, LoadgenBackoffDoesNotStallThePipeline) {
   cfg.requests_per_conn = 32;
   cfg.client.op_timeout_ms = 10'000;
   cfg.client.retry.max_attempts = 2;
-  cfg.client.retry.base_backoff_ns = 200'000'000;
+  cfg.client.retry.base_backoff_ns = kMaxBackoffNs;
   const LoadgenResult r = run_loadgen(cfg);
   EXPECT_TRUE(r.ok);
   EXPECT_GT(r.shed, 0u);
@@ -329,18 +330,40 @@ TEST(NetFault, LoadgenBackoffDoesNotStallThePipeline) {
   EXPECT_EQ(r.errors, 0u);
   EXPECT_EQ(r.timeouts, 0u);
   expect_every_attempt_accounted(cfg, r);
-  // The base clamps to kMaxBackoffNs (64 ms), so the shortest backoff a
-  // shed op can draw is the jitter floor, half of that: 32 ms.  A sample
-  // that long means its answer sat unread behind some op's backoff.  An
-  // unstalled loopback round trip takes microseconds, and a descheduled
-  // thread on an oversubscribed or sanitized run loses a scheduler tick
-  // or two (4 ms each at 250 Hz), not eight.
+  // The shortest backoff a shed op can draw is the jitter floor, half the
+  // base: 32 ms.  A sample that long means its answer sat unread behind
+  // some op's backoff.  An unstalled loopback round trip takes
+  // microseconds, and a descheduled thread on an oversubscribed or
+  // sanitized run loses a scheduler tick or two (4 ms each at 250 Hz), not
+  // eight.
   const double floor_ns =
-      0.5 * static_cast<double>(
-                std::min(cfg.client.retry.base_backoff_ns, kMaxBackoffNs));
+      0.5 * static_cast<double>(cfg.client.retry.base_backoff_ns);
   double worst_ns = 0.0;
   for (const double ns : r.latency_ns) worst_ns = std::max(worst_ns, ns);
   EXPECT_LT(worst_ns, floor_ns) << "a latency sample absorbed a backoff";
+}
+
+TEST(NetFault, RetryBaseAboveTheBackoffCapIsRejectedNotClamped) {
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
+  ClientConfig ccfg;
+  ccfg.retry.base_backoff_ns = kMaxBackoffNs + 1;
+  EXPECT_THROW((void)KvClient::connect(lb.net.port(), ccfg),
+               std::invalid_argument);
+  // The loadgen refuses before it starts a connection thread, where a
+  // throw would terminate the process.
+  LoadgenConfig cfg;
+  cfg.port = lb.net.port();
+  cfg.connections = 2;
+  cfg.client = ccfg;
+  EXPECT_THROW((void)run_loadgen(cfg), std::invalid_argument);
+  EXPECT_EQ(lb.net.connections_accepted(), 0u);
+
+  // The cap itself is a valid base.
+  ccfg.retry.base_backoff_ns = kMaxBackoffNs;
+  auto client = KvClient::connect(lb.net.port(), ccfg);
+  ASSERT_TRUE(client.has_value());
+  EXPECT_TRUE(client->ok());
 }
 
 TEST(NetFault, LoadgenReconnectsThroughResetAndAccountsEveryOp) {

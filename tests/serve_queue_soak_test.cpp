@@ -345,19 +345,24 @@ TEST(ServeQueueSoak, ShutdownRacesDeepPipelinesWithoutDroppingRequests) {
     for (std::uint64_t k = 0; k < 32; ++k) server.map().put(0, k, 5 * k);
 
     std::vector<std::unique_ptr<Request>> reqs;
-    for (int r = 0; r < 40; ++r) {
+    std::vector<std::vector<std::optional<std::uint64_t>>> outs(40);
+    for (std::size_t r = 0; r < outs.size(); ++r) {
       auto req = std::make_unique<Request>();
       req->kind = RequestKind::kGetBatch;
       req->keys = keys.data();
       req->key_count = static_cast<std::uint32_t>(keys.size());
+      outs[r].resize(keys.size());
+      req->out = outs[r].data();
       ASSERT_EQ(server.submit(req.get()), AdmitResult::kAccepted);
       reqs.push_back(std::move(req));
     }
     server.shutdown();
-    for (const auto& req : reqs) {
-      req->wait();
-      ASSERT_EQ(req->hits.load(), 32u) << "round " << round;
-      ASSERT_EQ(req->value_sum.load(), expected_sum) << "round " << round;
+    for (std::size_t r = 0; r < reqs.size(); ++r) {
+      reqs[r]->wait();
+      ASSERT_EQ(reqs[r]->hits.load(), 32u) << "round " << round;
+      std::uint64_t sum = 0;
+      for (const auto& v : outs[r]) sum += v.value_or(0);
+      ASSERT_EQ(sum, expected_sum) << "round " << round;
     }
   }
 }

@@ -121,10 +121,18 @@ TEST(NumaShardedMap, RoutedOperationsAgreeWithDirectSubMapState) {
     EXPECT_TRUE(map.erase(3, 7));
     EXPECT_FALSE(map.erase(3, 7));
     EXPECT_FALSE(map.get(0, 7).has_value());
-    const MapStats s = map.stats();
-    EXPECT_EQ(s.size, 499u);
-    EXPECT_EQ(s.puts, 500u);
-    EXPECT_EQ(s.erases, 1u);
+    EXPECT_EQ(map.size(), 499u);
+    // Each put landed once, in its owner's sub-map only: the sub-maps
+    // partition the keys, and their entries add up to the routed size.
+    std::size_t entries = 0;
+    for (int d = 0; d < map.node_count(); ++d) {
+      map.sub_map(d).for_each(0, [&](std::uint64_t k, std::uint64_t v) {
+        EXPECT_EQ(map.node_of_key(k), d) << "key " << k;
+        EXPECT_EQ(v, 3 * k);
+        ++entries;
+      });
+    }
+    EXPECT_EQ(entries, 499u);
   }
 }
 
@@ -181,6 +189,7 @@ TEST(WorkerPool, WorkRunsOnTheSubmittedNodeWithNodeMappedTids) {
   };
   std::vector<std::unique_ptr<Seen>> seen;
   for (int i = 0; i < 40; ++i) seen.push_back(std::make_unique<Seen>());
+  std::atomic<std::uint64_t> executed{0};
 
   WorkerPool<int> pool(
       topo,
@@ -190,6 +199,7 @@ TEST(WorkerPool, WorkRunsOnTheSubmittedNodeWithNodeMappedTids) {
           seen[static_cast<std::size_t>(items[i])]->node.store(node);
           seen[static_cast<std::size_t>(items[i])]->tid.store(tid);
         }
+        executed.fetch_add(n);
       });
   EXPECT_EQ(pool.node_count(), 2);
   EXPECT_EQ(pool.workers_per_node(), 2);
@@ -204,7 +214,7 @@ TEST(WorkerPool, WorkRunsOnTheSubmittedNodeWithNodeMappedTids) {
     // The executing tid maps back to the node it executed for.
     EXPECT_EQ(topo.node_of_tid(tid), node);
   }
-  EXPECT_EQ(pool.executed(0) + pool.executed(1), 40u);
+  EXPECT_EQ(executed.load(), 40u);
 }
 
 TEST(WorkerPool, GracefulShutdownDrainsQueuedItemsAndRefusesNewOnes) {
@@ -323,21 +333,26 @@ TEST(KvServer, ShutdownCompletesInFlightRequestsAndRefusesNewOnes) {
   std::vector<std::uint64_t> keys;
   for (std::uint64_t k = 0; k < 64; ++k) keys.push_back(k);
   std::vector<std::unique_ptr<Request>> reqs;
+  std::vector<std::vector<std::optional<std::uint64_t>>> outs(kRequests);
   for (int r = 0; r < kRequests; ++r) {
     auto req = std::make_unique<Request>();
     req->kind = RequestKind::kGetBatch;
     req->keys = keys.data();
     req->key_count = static_cast<std::uint32_t>(keys.size());
+    outs[idx(r)].resize(keys.size());
+    req->out = outs[idx(r)].data();
     ASSERT_EQ(server.submit(req.get()), AdmitResult::kAccepted);
     reqs.push_back(std::move(req));
   }
   server.shutdown();
   std::uint64_t expected_sum = 0;
   for (std::uint64_t k = 0; k < 64; ++k) expected_sum += 7 * k;
-  for (const auto& req : reqs) {
-    req->wait();  // must terminate: drained, not dropped
-    EXPECT_EQ(req->hits.load(), 64u);
-    EXPECT_EQ(req->value_sum.load(), expected_sum);
+  for (std::size_t r = 0; r < reqs.size(); ++r) {
+    reqs[r]->wait();  // must terminate: drained, not dropped
+    EXPECT_EQ(reqs[r]->hits.load(), 64u);
+    std::uint64_t sum = 0;
+    for (const auto& v : outs[r]) sum += v.value_or(0);
+    EXPECT_EQ(sum, expected_sum);
   }
 
   // After shutdown: refused, but the latch still resolves.
@@ -500,13 +515,40 @@ TEST(KvServer, ConcurrentClientsKeepAggregatesConsistent) {
     if (!batch.empty()) (void)server.get_many(batch);
   });
   server.shutdown();
-  const MapStats s = server.map().stats();
-  EXPECT_EQ(s.puts, static_cast<std::uint64_t>(kClients * 40));
-  EXPECT_EQ(s.size, static_cast<std::uint64_t>(kClients * 40));
+  // Every op ran exactly once: a put run twice would add one to `ops`, a
+  // lost one would take one from the size.
+  EXPECT_EQ(server.map().size(), static_cast<std::uint64_t>(kClients * 40));
   std::uint64_t pool_ops = 0;
   for (int d = 0; d < server.node_count(); ++d)
     pool_ops += server.node_stats(d).ops;
   EXPECT_EQ(pool_ops, static_cast<std::uint64_t>(kClients * kOps));
+}
+
+// One claimed run per request when each is awaited before the next is
+// submitted: the worker stripes count every claim (bursts) and every
+// executed slice (sub_requests) once, and both are exact at wait().
+TEST(KvServer, SerialPointOpsCountOneClaimPerRequest) {
+  const Topology topo = Topology::simulated(2, 2);
+  KvServer<CohortWriterPriorityLock> server(topo,
+                                            ServeConfig{}.with_workers(2));
+  constexpr std::uint64_t kRequests = 60;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const std::uint64_t key = i / 3;
+    switch (i % 3) {
+      case 0: server.put(key, key); break;
+      case 1: EXPECT_EQ(server.get(key).value_or(~key), key); break;
+      default: EXPECT_TRUE(server.erase(key)); break;
+    }
+    std::uint64_t bursts = 0, subs = 0;
+    for (int d = 0; d < server.node_count(); ++d) {
+      bursts += server.node_stats(d).bursts;
+      subs += server.node_stats(d).sub_requests;
+    }
+    ASSERT_EQ(bursts, i + 1) << "request " << i;
+    ASSERT_EQ(subs, i + 1) << "request " << i;
+  }
+  EXPECT_EQ(server.map().size(), 0u);
+  server.shutdown();
 }
 
 // ---- bulk queue operations (burst dataplane) --------------------------------
@@ -602,11 +644,14 @@ TEST(WorkerPool, BurstModeExecutesEverythingWithBulkClaims) {
   const ServeConfig cfg = ServeConfig{}.with_workers(2).with_pin(false);
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> max_run{0};
+  std::atomic<std::uint64_t> executed{0}, claims{0};
   WorkerPool<int> pool(
       topo, cfg,
       [&](int, int, int* items, std::size_t n) {
         ASSERT_GE(n, 1u);
         ASSERT_LE(n, serve::kBurst);  // never exceeds the claim depth
+        executed.fetch_add(n);
+        claims.fetch_add(1);
         std::uint64_t local = 0;
         for (std::size_t i = 0; i < n; ++i)
           local += static_cast<std::uint64_t>(items[i]);
@@ -623,11 +668,9 @@ TEST(WorkerPool, BurstModeExecutesEverythingWithBulkClaims) {
   }
   pool.shutdown();
   EXPECT_EQ(sum.load(), expect);
-  EXPECT_EQ(pool.executed(0) + pool.executed(1),
-            static_cast<std::uint64_t>(kItems));
-  const std::uint64_t bursts = pool.bursts(0) + pool.bursts(1);
-  EXPECT_GT(bursts, 0u);
-  EXPECT_LE(bursts, static_cast<std::uint64_t>(kItems));  // runs amortize
+  EXPECT_EQ(executed.load(), static_cast<std::uint64_t>(kItems));
+  EXPECT_GT(claims.load(), 0u);
+  EXPECT_LE(claims.load(), static_cast<std::uint64_t>(kItems));  // amortize
 }
 
 // A ring smaller than kBurst: each claim holds at most the ring's two
@@ -637,12 +680,13 @@ TEST(WorkerPool, ClaimsFitARingSmallerThanTheBurst) {
   const Topology topo = Topology::simulated(1, 2);
   const ServeConfig cfg =
       ServeConfig{}.with_workers(1).with_queue_capacity(2).with_pin(false);
-  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> sum{0}, executed{0};
   WorkerPool<int> pool(topo, cfg, [&](int, int, int* items, std::size_t n) {
     ASSERT_GE(n, 1u);
     ASSERT_LE(n, 2u);
     for (std::size_t i = 0; i < n; ++i)
       sum.fetch_add(static_cast<std::uint64_t>(items[i]));
+    executed.fetch_add(n);
   });
   std::vector<int> batch(100);
   for (int i = 0; i < 100; ++i) batch[static_cast<std::size_t>(i)] = i;
@@ -650,18 +694,19 @@ TEST(WorkerPool, ClaimsFitARingSmallerThanTheBurst) {
     ASSERT_EQ(pool.submit_many(0, batch.data(), batch.size()), batch.size());
   pool.shutdown();
   EXPECT_EQ(sum.load(), 10u * 99u * 100u / 2u);
-  EXPECT_EQ(pool.executed(0), 1000u);
+  EXPECT_EQ(executed.load(), 1000u);
 }
 
 TEST(WorkerPool, SubmitManyPublishesTheWholeBatch) {
   const Topology topo = Topology::simulated(2, 2);
   const ServeConfig cfg = ServeConfig{}.with_pin(false);
-  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> sum{0}, executed{0};
   WorkerPool<int> pool(
       topo, cfg,
       [&](int, int, int* items, std::size_t n) {
         for (std::size_t i = 0; i < n; ++i)
           sum.fetch_add(static_cast<std::uint64_t>(items[i]));
+        executed.fetch_add(n);
       });
   // Batches larger than the queue capacity round up; submit_many must
   // publish every item (yielding through backpressure), not just a prefix.
@@ -675,7 +720,7 @@ TEST(WorkerPool, SubmitManyPublishesTheWholeBatch) {
   EXPECT_EQ(pool.submit_many(1, batch.data(), batch.size()), batch.size());
   pool.shutdown();
   EXPECT_EQ(sum.load(), 2 * expect);
-  EXPECT_EQ(pool.executed(0) + pool.executed(1), 600u);
+  EXPECT_EQ(executed.load(), 600u);
   EXPECT_EQ(pool.submit_many(0, batch.data(), batch.size()), 0u)
       << "submit_many after shutdown must refuse";
 }

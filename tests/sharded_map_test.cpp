@@ -123,33 +123,36 @@ TEST(ShardedMap, GetManyMatchesSingleGets) {
   EXPECT_FALSE(m.get_many(0, {}).size());
 }
 
-TEST(ShardedMap, StripedStatsCountHitsMissesPutsErases) {
+TEST(ShardedMap, StripedSizeTracksEveryMutatingCall) {
   ShardedMap<int, int> m(1, /*shards=*/4);
-  EXPECT_TRUE(m.put(0, 1, 10));       // put + size
-  EXPECT_FALSE(m.put(0, 1, 11));      // overwrite: put, no size change
+  EXPECT_TRUE(m.put(0, 1, 10));
+  EXPECT_EQ(m.size(0), 1u);
+  EXPECT_FALSE(m.put(0, 1, 11));      // overwrite: no size change
   EXPECT_TRUE(m.put_if_absent(0, 2, 20));
-  EXPECT_FALSE(m.put_if_absent(0, 2, 21));  // no-op: not a put
+  EXPECT_FALSE(m.put_if_absent(0, 2, 21));  // no-op
   m.update(0, 3, [](int& v) { v = 30; });   // insert via update
-  (void)m.get(0, 1);                  // hit
-  (void)m.get(0, 99);                 // miss
-  EXPECT_TRUE(m.contains(0, 2));      // hit
-  EXPECT_FALSE(m.contains(0, 98));    // miss
-  (void)m.get_many(0, {1, 2, 3, 97});  // 3 hits + 1 miss
+  m.update(0, 3, [](int& v) { v = 31; });   // in place: no size change
+  EXPECT_EQ(m.size(0), 3u);
+  const std::uint64_t ver = m.put_versioned(0, 4, 40, /*expire_at_ns=*/0);
+  EXPECT_EQ(m.size(0), 4u);
+  EXPECT_TRUE(m.touch_version(0, 4, 0).has_value());  // no size change
+  EXPECT_FALSE(m.erase_if_version(0, 4, ver));  // stale after the touch
+  EXPECT_EQ(m.size(0), 4u);
+  const auto lease = m.lease_of(0, 4);
+  ASSERT_TRUE(lease.has_value());
+  EXPECT_TRUE(m.erase_if_version(0, 4, lease->first));
   EXPECT_TRUE(m.erase(0, 3));
-  EXPECT_FALSE(m.erase(0, 3));        // no-op: not an erase
-
-  const MapStats st = m.stats();
-  EXPECT_EQ(st.size, 2u);
+  EXPECT_FALSE(m.erase(0, 3));        // no-op
   EXPECT_EQ(m.size(0), 2u);
-  EXPECT_EQ(st.hits, 5u);
-  EXPECT_EQ(st.misses, 3u);
-  EXPECT_EQ(st.puts, 4u);   // 2 puts + 1 successful put_if_absent + 1 update
-  EXPECT_EQ(st.erases, 1u);
+  std::size_t ground_truth = 0;
+  m.for_each(0, [&](int, int) { ++ground_truth; });
+  EXPECT_EQ(ground_truth, 2u);
 }
 
 // The serving contract under churn: concurrent get_many sees consistent
 // (k, 2k) pairs through its bulk read locks, and afterwards the striped size
-// and put/erase stripes reconcile exactly with the ground truth.
+// reconciles exactly with the ground truth.  Two writers share the shards,
+// so a size write made outside the shard's write lock would lose updates.
 TEST(ShardedMap, GetManyAndStripedStatsConsistentUnderMutation) {
   constexpr int kThreads = 4;
   constexpr int kKeys = 32;
@@ -157,8 +160,6 @@ TEST(ShardedMap, GetManyAndStripedStatsConsistentUnderMutation) {
   ShardedMap<int, std::pair<std::uint64_t, std::uint64_t>, DistWriterPriorityLock>
       m(kThreads, /*shards=*/8);
   std::atomic<std::uint64_t> torn{0};
-  std::atomic<std::uint64_t> puts_issued{0};
-  std::atomic<std::uint64_t> erases_succeeded{0};
   std::atomic<int> writers_left{2};
   std::vector<int> all_keys;
   for (int k = 0; k < kKeys; ++k) all_keys.push_back(k);
@@ -169,11 +170,9 @@ TEST(ShardedMap, GetManyAndStripedStatsConsistentUnderMutation) {
       for (std::uint64_t i = 1; i <= kWriterOps; ++i) {
         const int key = static_cast<int>(rng.below(kKeys));
         if (rng.chance(1, 10)) {
-          if (m.erase(static_cast<int>(tid), key))
-            erases_succeeded.fetch_add(1);
+          (void)m.erase(static_cast<int>(tid), key);
         } else {
           m.put(static_cast<int>(tid), key, {i, 2 * i});
-          puts_issued.fetch_add(1);
         }
       }
       writers_left.fetch_sub(1);
@@ -187,15 +186,10 @@ TEST(ShardedMap, GetManyAndStripedStatsConsistentUnderMutation) {
   });
 
   EXPECT_EQ(torn.load(), 0u);
-  // Stripes must reconcile exactly at quiescence.
+  // The size stripes must reconcile exactly at quiescence.
   std::size_t ground_truth = 0;
   m.for_each(0, [&](int, const auto&) { ++ground_truth; });
-  const MapStats st = m.stats();
-  EXPECT_EQ(st.size, ground_truth);
   EXPECT_EQ(m.size(0), ground_truth);
-  EXPECT_EQ(st.puts, puts_issued.load());
-  EXPECT_EQ(st.erases, erases_succeeded.load());
-  EXPECT_GE(st.hits + st.misses, 1u);
 }
 
 TEST(ShardedMap, WorksWithEveryPriorityRegime) {
@@ -365,11 +359,10 @@ TEST(ShardedMapLease, ReadPathFiltersExpiredEntriesUnderVirtualClock) {
   EXPECT_FALSE(m.get(0, 1).has_value());
   EXPECT_FALSE(m.contains(0, 1));
   EXPECT_EQ(m.get(0, 2).value_or(0), 20);  // unleased entry unaffected
-  // The entry is still physically present (lazy expiry); the read was
-  // counted as an expired read and as a miss.
+  // The entry is still physically present (lazy expiry) and still counted
+  // by size() until the sweep erases it.
   EXPECT_TRUE(m.lease_of(0, 1).has_value());
-  const MapStats s = m.stats();
-  EXPECT_GE(s.expired_reads, 2u);
+  EXPECT_EQ(m.size(0), 2u);
   // get_many filters the same way.
   const auto got = m.get_many(0, {1, 2});
   EXPECT_FALSE(got[0].has_value());
