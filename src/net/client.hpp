@@ -44,10 +44,8 @@
 #include <chrono>
 #include <climits>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,26 +56,6 @@
 #include "src/net/wire.hpp"
 
 namespace bjrw::net {
-
-// One decoded response frame, whichever type it was.
-struct Response {
-  std::uint64_t id = 0;
-  MsgType type = MsgType::kErrorResp;
-  // Admission status; a non-kOk data response carries no payload.
-  WireStatus status = WireStatus::kOk;
-  // kGetResp
-  bool found = false;
-  std::uint64_t value = 0;
-  // kEraseResp
-  bool erased = false;
-  // kTouchResp
-  bool touched = false;
-  // kGetManyResp
-  std::vector<std::optional<std::uint64_t>> values;
-  // kErrorResp
-  ErrorCode error_code = ErrorCode::kMalformed;
-  std::string error_detail;
-};
 
 // Why the transport last failed (sticky until the next successful op).
 enum class ClientError : std::uint8_t {
@@ -166,8 +144,6 @@ class KvClient {
       next_id_ = other.next_id_;
       out_ = std::move(other.out_);
       in_ = std::move(other.in_);
-      in_head_ = other.in_head_;
-      in_tail_ = other.in_tail_;
       jitter_ = other.jitter_;
       last_error_ = other.last_error_;
       retries_ = other.retries_;
@@ -440,7 +416,7 @@ class KvClient {
   void drop_stream() {
     close();
     out_.clear();
-    in_head_ = in_tail_ = 0;
+    in_.clear();
   }
 
   bool flush_by(std::uint64_t deadline) {
@@ -469,96 +445,21 @@ class KvClient {
       return false;
     }
     if (!buffer_at_least(kFrameLenSize, deadline)) return false;
-    const std::uint8_t* lenbuf = in_.data() + in_head_;
-    const std::uint32_t flen = (static_cast<std::uint32_t>(lenbuf[0]) << 24) |
-                               (static_cast<std::uint32_t>(lenbuf[1]) << 16) |
-                               (static_cast<std::uint32_t>(lenbuf[2]) << 8) |
-                               lenbuf[3];
+    const std::uint32_t flen = in_.frame_len();
     if (flen < kHeaderSize || flen > kDefaultMaxFrame)
       return fail(ClientError::kProtocol);
     if (!buffer_at_least(kFrameLenSize + flen, deadline)) return false;
-    // The frame is consumed up front: whatever the parse below decides,
-    // the stream moves past it (a protocol failure drops the stream).
-    Unpacker u(in_.data() + in_head_ + kFrameLenSize, flen);
-    in_head_ += kFrameLenSize + flen;
-    if (in_head_ == in_tail_) in_head_ = in_tail_ = 0;
-    MsgHeader h;
-    ErrorCode err;
-    if (!unpack_header(u, &h, &err)) return fail(ClientError::kProtocol);
-    resp->id = h.request_id;
-    resp->type = h.type;
-    resp->status = WireStatus::kOk;
-    resp->values.clear();
-    // Data responses lead with the admission status; a refusal carries
-    // nothing else.
-    if (h.type != MsgType::kErrorResp) {
-      // The status byte is peer input: a value outside the enum is a
-      // malformed frame, not a refusal to give up on.
-      const std::uint8_t status = u.u8();
-      if (u.failed() || !is_wire_status(status))
-        return fail(ClientError::kProtocol);
-      resp->status = static_cast<WireStatus>(status);
-      if (resp->status != WireStatus::kOk) {
-        if (!u.exhausted()) return fail(ClientError::kProtocol);
-        return true;
-      }
-    }
-    switch (h.type) {
-      case MsgType::kGetResp:
-        resp->found = u.u8() != 0;
-        resp->value = u.u64();
-        break;
-      case MsgType::kPutResp:
-        break;
-      case MsgType::kEraseResp:
-        resp->erased = u.u8() != 0;
-        break;
-      case MsgType::kTouchResp:
-        resp->touched = u.u8() != 0;
-        break;
-      case MsgType::kGetManyResp: {
-        const std::uint32_t n = u.u32();
-        if (u.failed() || u.remaining() != static_cast<std::size_t>(n) * 9)
-          return fail(ClientError::kProtocol);
-        resp->values.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const bool found = u.u8() != 0;
-          const std::uint64_t v = u.u64();
-          resp->values.push_back(found ? std::optional<std::uint64_t>(v)
-                                       : std::nullopt);
-        }
-        break;
-      }
-      case MsgType::kErrorResp: {
-        resp->error_code = static_cast<ErrorCode>(u.u16());
-        const std::uint16_t n = u.u16();
-        const std::uint8_t* p = u.bytes(n);
-        resp->error_detail.assign(
-            p ? reinterpret_cast<const char*>(p) : "", p ? n : 0);
-        break;
-      }
-      default:
-        return fail(ClientError::kProtocol);
-    }
-    if (u.failed() || !u.exhausted()) return fail(ClientError::kProtocol);
+    if (!unpack_response(in_.data() + kFrameLenSize, flen, resp))
+      return fail(ClientError::kProtocol);  // drops the stream, frame and all
+    in_.consume(kFrameLenSize + flen);
     return true;
   }
 
-  // Waits until at least `n` unparsed bytes sit in the receive buffer,
-  // compacting or growing it first when they would not fit.
+  // Waits until at least `n` unparsed bytes sit in the receive buffer.
   bool buffer_at_least(std::size_t n, std::uint64_t deadline) {
-    while (in_tail_ - in_head_ < n) {
-      if (in_.size() - in_head_ < n) {
-        if (in_head_ > 0) {
-          std::memmove(in_.data(), in_.data() + in_head_,
-                       in_tail_ - in_head_);
-          in_tail_ -= in_head_;
-          in_head_ = 0;
-        }
-        if (in_.size() < n) in_.resize(n < kRecvChunk ? kRecvChunk : n);
-      }
+    in_.reserve(n);
+    while (in_.size() < n)
       if (!fill(deadline)) return false;
-    }
     return true;
   }
 
@@ -569,10 +470,9 @@ class KvClient {
   bool fill(std::uint64_t deadline) {
     IdlePolicy idle(kDefaultParkGraceNs);
     for (;;) {
-      const ssize_t n =
-          transport_read(fd_, in_.data() + in_tail_, in_.size() - in_tail_);
+      const ssize_t n = transport_read(fd_, in_.tail(), in_.tail_room());
       if (n > 0) {
-        in_tail_ += static_cast<std::size_t>(n);
+        in_.commit(static_cast<std::size_t>(n));
         return true;
       }
       if (!would_block(n)) return false;
@@ -622,11 +522,7 @@ class KvClient {
   ClientConfig cfg_;
   std::uint64_t next_id_ = 1;
   PackBuffer out_;
-  // Receive buffer: bytes [in_head_, in_tail_) arrived and are unparsed.
-  static constexpr std::size_t kRecvChunk = 16 * 1024;
-  std::vector<std::uint8_t> in_;
-  std::size_t in_head_ = 0;
-  std::size_t in_tail_ = 0;
+  RecvBuffer in_;
   Xoshiro256 jitter_;
   ClientError last_error_ = ClientError::kNone;
   std::uint64_t retries_ = 0;

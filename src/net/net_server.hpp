@@ -1,6 +1,8 @@
 // Socket front-end for the serving runtime: an epoll accept/read/write
-// loop that deserializes wire frames (wire.hpp) straight into the
+// loop that decodes each wire frame with wire.hpp's unpack_request and
+// fills a pooled request slot from it, in one place (stage()), feeding the
 // existing client-owned Request + counting-latch pipeline (src/serve/).
+// Nothing here reads the frame layout itself.
 //
 // Ownership rules (DESIGN.md §10) — the whole design hangs on them:
 //
@@ -51,10 +53,8 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -77,6 +77,8 @@ inline constexpr std::size_t kSubmitBatch = 16;
 // listen(2) backlog, and the in-flight depth bound per connection.
 inline constexpr int kListenBacklog = 128;
 inline constexpr std::size_t kSlotsPerConnection = 64;
+// Free tail each socket read is offered, at least.
+inline constexpr std::size_t kReadChunk = 4096;
 
 struct NetServerConfig {
   std::uint16_t port = 0;        // 0 = ephemeral; see NetServer::port()
@@ -179,8 +181,7 @@ class NetServer {
 
   struct Connection {
     int fd = -1;
-    std::vector<std::uint8_t> rbuf;
-    std::size_t rhead = 0;  // parsed-up-to offset into rbuf
+    RecvBuffer rbuf;  // read but not yet parsed
     PackBuffer wbuf;
     std::vector<std::unique_ptr<Slot>> pool;
     std::vector<Slot*> free_slots;
@@ -195,8 +196,6 @@ class NetServer {
     bool reading = true;       // EPOLLIN armed (false: slot backpressure)
     bool draining = false;     // no more reads; close once quiescent
     bool peer_gone = false;    // EOF/error: skip response packing
-
-    std::size_t buffered() const { return rbuf.size() - rhead; }
   };
 
   // ---- epoll plumbing -------------------------------------------------------
@@ -321,26 +320,22 @@ class NetServer {
     return progressed;
   }
 
+  // Reads until a short read, each read into the buffer's free tail (at
+  // least kReadChunk bytes of it), then parses what arrived.
   bool do_read(Connection& c, std::size_t idx) {
     bool progressed = false;
     for (;;) {
-      const std::size_t old = c.rbuf.size();
-      c.rbuf.resize(old + 4096);
-      const ssize_t n = transport_read(c.fd, c.rbuf.data() + old, 4096);
+      c.rbuf.reserve(c.rbuf.size() + kReadChunk);
+      const std::size_t room = c.rbuf.tail_room();
+      const ssize_t n = transport_read(c.fd, c.rbuf.tail(), room);
       if (n > 0) {
-        c.rbuf.resize(old + static_cast<std::size_t>(n));
+        c.rbuf.commit(static_cast<std::size_t>(n));
         progressed = true;
-        if (static_cast<std::size_t>(n) < 4096) break;
+        if (static_cast<std::size_t>(n) < room) break;
         continue;
       }
-      c.rbuf.resize(old);
-      if (n == 0) {  // orderly EOF
-        c.peer_gone = true;
-        begin_drain(c, idx);
-        return true;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      c.peer_gone = true;  // ECONNRESET and friends
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      c.peer_gone = true;  // orderly EOF, ECONNRESET and friends
       begin_drain(c, idx);
       return true;
     }
@@ -376,78 +371,41 @@ class NetServer {
     return progressed;
   }
 
-  // ---- frame parsing + dispatch ---------------------------------------------
-
-  // Per-message-type dispatch table (wire.hpp): request type -> handler.
-  enum class Handle { kOk, kNoSlot, kClose };
-  using Handler = Handle (NetServer::*)(Connection&, std::uint64_t,
-                                        Unpacker&);
-
-  static const DispatchEntry<Handler> (&dispatch_table())[6] {
-    static const DispatchEntry<Handler> table[6] = {
-        {MsgType::kGetReq, "get", &NetServer::on_get},
-        {MsgType::kPutReq, "put", &NetServer::on_put},
-        {MsgType::kEraseReq, "erase", &NetServer::on_erase},
-        {MsgType::kGetManyReq, "get_many", &NetServer::on_get_many},
-        {MsgType::kPutTtlReq, "put_ttl", &NetServer::on_put_ttl},
-        {MsgType::kTouchReq, "touch", &NetServer::on_touch},
-    };
-    return table;
-  }
+  // ---- frame parsing --------------------------------------------------------
 
   void drain_frames(Connection& c, std::size_t idx) {
-    while (!c.draining) {
-      const std::size_t avail = c.buffered();
-      if (avail < kFrameLenSize) break;
-      const std::uint8_t* p = c.rbuf.data() + c.rhead;
-      const std::uint32_t flen =
-          (static_cast<std::uint32_t>(p[0]) << 24) |
-          (static_cast<std::uint32_t>(p[1]) << 16) |
-          (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
+    while (!c.draining && c.rbuf.size() >= kFrameLenSize) {
+      const std::uint32_t flen = c.rbuf.frame_len();
+      // A length the reader will not buffer, or one too short for a
+      // header, leaves no frame boundary to resynchronize on: answer and
+      // close.
       if (flen > kDefaultMaxFrame) {
-        // The reader will not buffer this frame, so the stream cannot be
-        // resynchronized: answer and close.  Publish the staged work first
-        // — begin_drain only waits on in_flight, not the stage.
-        flush_staged(c);
-        protocol_error(c, idx, 0, ErrorCode::kFrameTooLarge,
-                       "frame exceeds server limit", /*close=*/true);
+        protocol_error(c, idx, 0, ErrorCode::kFrameTooLarge, /*close=*/true);
         return;
       }
       if (flen < kHeaderSize) {
-        flush_staged(c);
-        protocol_error(c, idx, 0, ErrorCode::kMalformed,
-                       "frame shorter than the message header",
-                       /*close=*/true);
+        protocol_error(c, idx, 0, ErrorCode::kMalformed, /*close=*/true);
         return;
       }
-      if (avail - kFrameLenSize < flen) break;  // incomplete frame
-      Unpacker u(p + kFrameLenSize, flen);
-      MsgHeader h;
+      if (c.rbuf.size() - kFrameLenSize < flen) break;  // incomplete frame
+      WireRequest r;
       ErrorCode err;
-      if (!unpack_header(u, &h, &err)) {
-        flush_staged(c);
-        protocol_error(c, idx, h.request_id, err,
-                       err == ErrorCode::kBadMagic ? "bad magic"
-                                                   : "protocol version "
-                                                     "mismatch",
-                       /*close=*/true);
-        return;
-      }
-      const auto* entry = dispatch_lookup(dispatch_table(), h.type);
-      if (entry == nullptr) {
-        // The frame boundary is intact, so the connection keeps going.
-        protocol_error(c, idx, h.request_id, ErrorCode::kUnknownType,
-                       "no dispatch entry for message type",
-                       /*close=*/false);
-        c.rhead += kFrameLenSize + flen;
+      if (!unpack_request(c.rbuf.data() + kFrameLenSize, flen, &r, &err)) {
+        // A bad header means the stream cannot be trusted; a bad body
+        // leaves the frame boundary intact, so the connection keeps going.
+        const bool close =
+            err == ErrorCode::kBadMagic || err == ErrorCode::kBadVersion;
+        protocol_error(c, idx, r.id, err, close);
+        if (close) return;
+        c.rbuf.consume(kFrameLenSize + flen);
         continue;
       }
-      const Handle r = (this->*(entry->handler))(c, h.request_id, u);
-      if (r == Handle::kNoSlot) {
-        // Out of slots: publish the stage first — the completions that
-        // free slots are the very requests sitting in it — then drop read
-        // interest until the sweep frees one (backpressure to the TCP
-        // window).  Refused slots free the same way, on the sweep.
+      if (c.free_slots.empty()) {
+        // Out of slots: the frame stays buffered.  Publish the stage first
+        // — the completions that free slots are the very requests sitting
+        // in it — then drop read interest until the sweep frees one
+        // (backpressure to the TCP window).  Refused slots free the same
+        // way, on the sweep.
         flush_staged(c);
         if (c.reading) {
           c.reading = false;
@@ -455,58 +413,54 @@ class NetServer {
         }
         return;
       }
-      c.rhead += kFrameLenSize + flen;
-      if (r == Handle::kClose) {
-        flush_staged(c);
-        begin_drain(c, idx);
-        return;
-      }
+      stage(c, r);  // copies the keys out of rbuf before the consume
+      c.rbuf.consume(kFrameLenSize + flen);
       single_writer_add(dispatched_);
     }
     flush_staged(c);
-    compact(c);
-    // Survive-class error replies (malformed bodies) are packed by the
-    // handlers without a flush of their own; push them out now rather
-    // than waiting for an unrelated completion to sweep by.
+    // Survive-class error replies (bad bodies) are packed without a flush
+    // of their own; push them out now rather than waiting for an
+    // unrelated completion to sweep by.
     if (!c.draining && !c.wbuf.empty()) flush(c, idx);
   }
 
-  static void compact(Connection& c) {
-    if (c.rhead == 0) return;
-    if (c.buffered() == 0) {
-      c.rbuf.clear();
-      c.rhead = 0;
-    } else if (c.rhead >= 4096) {
-      c.rbuf.erase(c.rbuf.begin(),
-                   c.rbuf.begin() + static_cast<std::ptrdiff_t>(c.rhead));
-      c.rhead = 0;
+  static serve::RequestKind kind_of(MsgType t) {
+    switch (t) {
+      case MsgType::kGetReq: return serve::RequestKind::kGet;
+      case MsgType::kGetManyReq: return serve::RequestKind::kGetBatch;
+      case MsgType::kEraseReq: return serve::RequestKind::kErase;
+      case MsgType::kTouchReq: return serve::RequestKind::kTouch;
+      default: return serve::RequestKind::kPut;  // kPutReq, kPutTtlReq
     }
   }
 
-  // ---- request handlers (the dispatch table's targets) ----------------------
-
-  // Leases a slot for request `id`.  The relative wire budget becomes an
-  // absolute deadline on the KvServer's deadline clock here, at parse
-  // time, so client budgets and the server's admission/dequeue checks
-  // share one timeline.
-  Slot* take_slot(Connection& c, std::uint64_t id, MsgType resp_type,
-                  std::uint64_t budget_ns) {
-    if (c.free_slots.empty()) return nullptr;
+  // Leases a free slot for decoded request `r`, fills it — the one place
+  // a wire request becomes a serve::Request — and stages it for the next
+  // batched publish, flushing eagerly when the stage hits kSubmitBatch.
+  // The keys are copied out of the frame into the slot (the single copy on
+  // the ingest path).  The relative wire budget becomes an absolute
+  // deadline on the KvServer's deadline clock here, at parse time, so
+  // client budgets and the server's admission/dequeue checks share one
+  // timeline.  A put_ttl's TTL reaches the KvServer, which attaches the
+  // lease when expiry is enabled and stores a plain value otherwise.
+  void stage(Connection& c, const WireRequest& r) {
     Slot* s = c.free_slots.back();
     c.free_slots.pop_back();
-    s->req.reset();
-    s->req.out = nullptr;
-    s->req.ttl_ns = 0;  // reset() keeps client-owned fields; a recycled
-                        // put_ttl slot must not leak its TTL into a plain put
-    s->req.deadline_ns = budget_ns == 0 ? 0 : kv_.time_now_ns() + budget_ns;
-    s->id = id;
-    s->resp_type = resp_type;
-    return s;
-  }
-
-  // Stages a parsed slot for the next batched publish, flushing eagerly
-  // when the stage hits the configured depth.
-  void submit_slot(Connection& c, Slot* s) {
+    serve::Request& q = s->req;
+    q.reset();
+    q.kind = kind_of(r.type);
+    q.key = r.key;
+    q.value = r.value;
+    q.ttl_ns = r.ttl_ns;  // 0 unless put_ttl or touch: never a stale TTL
+    q.deadline_ns = r.budget_ns == 0 ? 0 : kv_.time_now_ns() + r.budget_ns;
+    s->keys.resize(r.count);
+    for (std::uint32_t i = 0; i < r.count; ++i) s->keys[i] = r.key_at(i);
+    s->out.assign(r.count, std::nullopt);
+    q.keys = s->keys.data();
+    q.key_count = r.count;
+    q.out = r.count ? s->out.data() : nullptr;
+    s->id = r.id;
+    s->resp_type = response_type(r.type);
     c.staged.push_back(s);
     if (c.staged.size() >= kSubmitBatch) flush_staged(c);
   }
@@ -539,122 +493,18 @@ class NetServer {
     return WireStatus::kOk;
   }
 
-  Handle on_get(Connection& c, std::uint64_t id, Unpacker& u) {
-    const std::uint64_t key = u.u64();
-    const std::uint64_t budget = u.u64();
-    if (!u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kGetResp, budget);
-    if (!s) return Handle::kNoSlot;
-    s->keys.assign(1, key);
-    s->out.assign(1, std::nullopt);
-    s->req.kind = serve::RequestKind::kGet;
-    s->req.keys = s->keys.data();
-    s->req.key_count = 1;
-    s->req.out = s->out.data();
-    submit_slot(c, s);
-    return Handle::kOk;
-  }
-
-  Handle on_put(Connection& c, std::uint64_t id, Unpacker& u) {
-    const std::uint64_t key = u.u64();
-    const std::uint64_t value = u.u64();
-    const std::uint64_t budget = u.u64();
-    if (!u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kPutResp, budget);
-    if (!s) return Handle::kNoSlot;
-    s->req.kind = serve::RequestKind::kPut;
-    s->req.key = key;
-    s->req.value = value;
-    submit_slot(c, s);
-    return Handle::kOk;
-  }
-
-  Handle on_erase(Connection& c, std::uint64_t id, Unpacker& u) {
-    const std::uint64_t key = u.u64();
-    const std::uint64_t budget = u.u64();
-    if (!u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kEraseResp, budget);
-    if (!s) return Handle::kNoSlot;
-    s->req.kind = serve::RequestKind::kErase;
-    s->req.key = key;
-    submit_slot(c, s);
-    return Handle::kOk;
-  }
-
-  // A put carrying a lease TTL.  Same response type as a plain put —
-  // the KvServer attaches the lease when expiry is enabled and silently
-  // stores a plain value otherwise (the knob is server policy, not a
-  // protocol guarantee).
-  Handle on_put_ttl(Connection& c, std::uint64_t id, Unpacker& u) {
-    const std::uint64_t key = u.u64();
-    const std::uint64_t value = u.u64();
-    const std::uint64_t ttl = u.u64();
-    const std::uint64_t budget = u.u64();
-    if (!u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kPutResp, budget);
-    if (!s) return Handle::kNoSlot;
-    s->req.kind = serve::RequestKind::kPut;
-    s->req.key = key;
-    s->req.value = value;
-    s->req.ttl_ns = ttl;
-    submit_slot(c, s);
-    return Handle::kOk;
-  }
-
-  // Extends an existing key's lease.  `touched` is false when the key
-  // is absent, already expired, or the server has expiry disabled.
-  Handle on_touch(Connection& c, std::uint64_t id, Unpacker& u) {
-    const std::uint64_t key = u.u64();
-    const std::uint64_t ttl = u.u64();
-    const std::uint64_t budget = u.u64();
-    if (!u.exhausted()) return malformed(c, id);
-    Slot* s = take_slot(c, id, MsgType::kTouchResp, budget);
-    if (!s) return Handle::kNoSlot;
-    s->req.kind = serve::RequestKind::kTouch;
-    s->req.key = key;
-    s->req.ttl_ns = ttl;
-    submit_slot(c, s);
-    return Handle::kOk;
-  }
-
-  Handle on_get_many(Connection& c, std::uint64_t id, Unpacker& u) {
-    const std::uint32_t n = u.u32();
-    // The count must agree with the frame length (keys, then the budget)
-    // before any allocation sized by it: a lying count is a malformed
-    // body, not an OOM.
-    const std::size_t keys_len = static_cast<std::size_t>(n) * 8;
-    if (u.failed() || u.remaining() != keys_len + 8) return malformed(c, id);
-    Unpacker keys(u.bytes(keys_len), keys_len);
-    const std::uint64_t budget = u.u64();
-    Slot* s = take_slot(c, id, MsgType::kGetManyResp, budget);
-    if (!s) return Handle::kNoSlot;
-    s->keys.clear();
-    s->keys.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) s->keys.push_back(keys.u64());
-    s->out.assign(n, std::nullopt);
-    s->req.kind = serve::RequestKind::kGetBatch;
-    s->req.keys = s->keys.data();
-    s->req.key_count = n;
-    s->req.out = n ? s->out.data() : nullptr;
-    submit_slot(c, s);
-    return Handle::kOk;
-  }
-
-  Handle malformed(Connection& c, std::uint64_t id) {
-    pack_error_resp(c.wbuf, id, ErrorCode::kMalformed,
-                    "body does not match the frame length");
-    single_writer_add(proto_errors_);
-    return Handle::kOk;  // frame boundary intact: connection survives
-  }
-
+  // Answers a protocol error with kErrorResp (to_string(code) as the
+  // detail) and counts it in protocol_errors().  A close error publishes
+  // the staged work first — begin_drain waits only on in_flight, not the
+  // stage — then drains; a survive error's reply leaves with drain_frames'
+  // closing flush.
   void protocol_error(Connection& c, std::size_t idx, std::uint64_t id,
-                      ErrorCode code, const char* detail, bool close) {
+                      ErrorCode code, bool close) {
     single_writer_add(proto_errors_);
-    if (!c.peer_gone) pack_error_resp(c.wbuf, id, code, detail);
+    if (!c.peer_gone) pack_error_resp(c.wbuf, id, code, to_string(code));
     if (close) {
+      flush_staged(c);
       begin_drain(c, idx);
-    } else {
-      flush(c, idx);
     }
   }
 

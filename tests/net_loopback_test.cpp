@@ -3,10 +3,12 @@
 // get/put/erase/get_many roundtrips (empty batch included), multi-node
 // batches on a simulated 2x4 topology, pipelined out-of-order id
 // correlation, protocol-error replies (oversized frame, bad magic, any
-// other protocol version, unknown type), typed shed refusals (a burst past
-// the slot pool included), TTL and deadline-budget ops, concurrent
-// clients, the event loop's spin-then-park idle loop, and orderly server
-// stop.  The CI stress matrix also runs this binary under ThreadSanitizer.
+// other protocol version, unknown type, and the whole bad-request matrix
+// of tests/bad_frames.hpp on one surviving connection), typed shed
+// refusals (a burst past the slot pool included), TTL and deadline-budget
+// ops, concurrent clients, the event loop's spin-then-park idle loop, and
+// orderly server stop.  The CI stress matrix also runs this binary under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +24,7 @@
 #include "src/net/client.hpp"
 #include "src/net/net_server.hpp"
 #include "src/serve/server.hpp"
+#include "tests/bad_frames.hpp"
 
 namespace bjrw::net {
 namespace {
@@ -161,38 +164,12 @@ TEST(NetLoopback, OversizedFrameIsRejectedAndConnectionClosed) {
   EXPECT_TRUE(c2.put(1, 2));
 }
 
-TEST(NetLoopback, BadMagicClosesUnknownTypeSurvives) {
+TEST(NetLoopback, BadMagicAndOtherVersionsClose) {
+  // The errors that survive (unknown type, malformed body) are the
+  // bad-request matrix below.
   Loopback lb;
   ASSERT_TRUE(lb.net.ok());
 
-  {  // Unknown message type: error reply, connection survives.
-    KvClient c = lb.client();
-    PackBuffer b;
-    const std::size_t at = b.begin_frame();
-    pack_header(b, static_cast<MsgType>(12345), 99);
-    b.end_frame(at);
-    ASSERT_TRUE(c.send_raw(b.data(), b.size()));
-    Response r;
-    ASSERT_TRUE(c.recv_response(&r));
-    EXPECT_EQ(r.type, MsgType::kErrorResp);
-    EXPECT_EQ(r.id, 99u);
-    EXPECT_EQ(r.error_code, ErrorCode::kUnknownType);
-    EXPECT_TRUE(c.put(7, 70)) << "connection must survive an unknown type";
-    EXPECT_EQ(c.get(7).value_or(0), 70u);
-  }
-  {  // Malformed body (truncated): error reply, connection survives.
-    KvClient c = lb.client();
-    PackBuffer b;
-    const std::size_t at = b.begin_frame();
-    pack_header(b, MsgType::kPutReq, 100);
-    b.put_u32(1);  // put wants 16 body bytes, give it 4
-    b.end_frame(at);
-    ASSERT_TRUE(c.send_raw(b.data(), b.size()));
-    Response r;
-    ASSERT_TRUE(c.recv_response(&r));
-    EXPECT_EQ(r.error_code, ErrorCode::kMalformed);
-    EXPECT_TRUE(c.put(8, 80));
-  }
   {  // Bad magic: error reply, then close.
     KvClient c = lb.client();
     PackBuffer b;
@@ -231,6 +208,34 @@ TEST(NetLoopback, BadMagicClosesUnknownTypeSurvives) {
     EXPECT_EQ(r.id, 102u);
     EXPECT_EQ(r.error_code, ErrorCode::kBadVersion);
     EXPECT_FALSE(c.recv_response(&r)) << "a version mismatch must close";
+  }
+}
+
+TEST(NetLoopback, BadRequestMatrixIsAnsweredAndTheConnectionSurvives) {
+  // Each bad frame (each request type one byte short and one byte long, a
+  // get_many count past its keys or at 0xFFFFFFFF, every response type and
+  // an undefined type sent as a request) gets its error code under its own
+  // id; a valid put and get follow on the same connection, and
+  // protocol_errors() rises by exactly one per bad frame.
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
+  ClientConfig bounded;
+  bounded.op_timeout_ms = 10'000;  // a lost answer fails instead of hanging
+  KvClient c = lb.client(bounded);
+  std::uint64_t key = 2000;
+  for (const BadFrame& f : bad_request_frames()) {
+    SCOPED_TRACE(f.name);
+    const std::uint64_t errors = lb.net.protocol_errors();
+    ASSERT_TRUE(c.send_raw(f.bytes.data(), f.bytes.size()));
+    Response r;
+    ASSERT_TRUE(c.recv_response(&r));
+    EXPECT_EQ(r.type, MsgType::kErrorResp);
+    EXPECT_EQ(r.id, f.id);
+    EXPECT_EQ(r.error_code, f.code);
+    ASSERT_TRUE(c.put(key, key + 1)) << "the connection must survive";
+    EXPECT_EQ(c.get(key).value_or(0), key + 1);
+    EXPECT_EQ(lb.net.protocol_errors(), errors + 1);
+    ++key;
   }
 }
 

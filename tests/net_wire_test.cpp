@@ -1,26 +1,45 @@
 // Tier-1 suite for the wire protocol (src/net/wire.hpp): big-endian scalar
 // layout, frame length back-patching, header magic/version gating, every
-// request/response body roundtripping through its own pack helper, one
-// byte-exact golden frame per message type, the Unpacker's latching bounds
-// checks, and the message-type dispatch table.
+// request type roundtripping through its packer and unpack_request and
+// every response (refusals and error frames included) through its packer
+// and unpack_response, the bad-request matrix rejected without an
+// allocation, one byte-exact golden frame per message type, and the
+// Unpacker's latching bounds checks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/net/wire.hpp"
+#include "tests/bad_frames.hpp"
+
+// Every heap allocation in this binary is counted, so a test can show that
+// a decoder allocated nothing.
+namespace {
+std::atomic<std::size_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs free() with the builtin operator new once these are inlined;
+// here both halves are replaced, so the pairing is right.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace bjrw::net {
 namespace {
-
-// Frame payload of a single-frame buffer (skips the length prefix).
-Unpacker payload_of(const PackBuffer& b) {
-  EXPECT_GE(b.size(), kFrameLenSize);
-  return Unpacker(b.data() + kFrameLenSize, b.size() - kFrameLenSize);
-}
 
 std::uint32_t frame_len(const PackBuffer& b) {
   return (static_cast<std::uint32_t>(b.data()[0]) << 24) |
@@ -81,6 +100,15 @@ TEST(Wire, UnpackerLatchesOnUnderflowAndNeverReadsPast) {
   EXPECT_FALSE(trailing.exhausted()) << "trailing bytes are not exhausted";
   EXPECT_EQ(trailing.u8(), 0x03);
   EXPECT_TRUE(trailing.exhausted());
+
+  // A word read with too few bytes left takes none of them.
+  const std::uint8_t seven[7] = {1, 2, 3, 4, 5, 6, 7};
+  Unpacker w(seven, sizeof seven);
+  EXPECT_EQ(w.u64(), 0u);
+  EXPECT_TRUE(w.failed());
+  EXPECT_EQ(w.u16(), 0u);
+  EXPECT_EQ(w.u32(), 0u);
+  EXPECT_FALSE(w.exhausted());
 }
 
 TEST(Wire, HeaderRejectsBadMagicThenBadVersion) {
@@ -128,198 +156,216 @@ TEST(Wire, HeaderRejectsBadMagicThenBadVersion) {
   }
 }
 
-TEST(Wire, RequestBodiesRoundtrip) {
-  MsgHeader h;
-  ErrorCode err;
-  {
-    PackBuffer b;
-    pack_get_req(b, 7, 0xAABB);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kGetReq);
-    EXPECT_EQ(u.u64(), 0xAABBu);
-    EXPECT_EQ(u.u64(), 0u);  // no deadline budget
-    EXPECT_TRUE(u.exhausted());
-  }
-  {
-    PackBuffer b;
-    pack_put_req(b, 8, 5, 500, /*deadline_budget_ns=*/9'000);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kPutReq);
-    EXPECT_EQ(u.u64(), 5u);
-    EXPECT_EQ(u.u64(), 500u);
-    EXPECT_EQ(u.u64(), 9'000u);
-    EXPECT_TRUE(u.exhausted());
-  }
-  {
-    PackBuffer b;
-    pack_erase_req(b, 9, 11);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kEraseReq);
-    EXPECT_EQ(u.u64(), 11u);
-    EXPECT_EQ(u.u64(), 0u);
-    EXPECT_TRUE(u.exhausted());
-  }
-  {
-    const std::uint64_t keys[] = {3, 1, 4, 1, 5};
-    PackBuffer b;
-    pack_get_many_req(b, 10, keys, 5);
-    EXPECT_EQ(frame_len(b), kHeaderSize + 4 + 5 * 8 + 8);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kGetManyReq);
-    ASSERT_EQ(u.u32(), 5u);
-    for (const std::uint64_t k : keys) EXPECT_EQ(u.u64(), k);
-    EXPECT_EQ(u.u64(), 0u);
-    EXPECT_TRUE(u.exhausted());
-    // Empty batch is a legal frame: count 0, no keys, then the budget.
-    PackBuffer e;
-    pack_get_many_req(e, 11, nullptr, 0);
-    Unpacker ue = payload_of(e);
-    ASSERT_TRUE(unpack_header(ue, &h, &err));
-    EXPECT_EQ(ue.u32(), 0u);
-    EXPECT_EQ(ue.u64(), 0u);
-    EXPECT_TRUE(ue.exhausted());
+// Decodes a single-frame buffer's request; the frame must decode clean.
+WireRequest decode_request(const PackBuffer& b) {
+  WireRequest r;
+  ErrorCode err = ErrorCode::kBadMagic;
+  EXPECT_TRUE(unpack_request(b.data() + kFrameLenSize,
+                             b.size() - kFrameLenSize, &r, &err))
+      << "error " << static_cast<int>(err);
+  return r;
+}
+
+Response decode_response(const PackBuffer& b) {
+  Response r;
+  EXPECT_TRUE(
+      unpack_response(b.data() + kFrameLenSize, b.size() - kFrameLenSize, &r));
+  return r;
+}
+
+TEST(Wire, EveryRequestTypeRoundtripsThroughUnpackRequest) {
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{9'000}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    {
+      PackBuffer b;
+      pack_get_req(b, 7, 0xAABB, budget);
+      const WireRequest r = decode_request(b);
+      EXPECT_EQ(r.id, 7u);
+      EXPECT_EQ(r.type, MsgType::kGetReq);
+      ASSERT_EQ(r.count, 1u);
+      EXPECT_EQ(r.key_at(0), 0xAABBu);
+      EXPECT_EQ(r.budget_ns, budget);
+    }
+    {
+      PackBuffer b;
+      pack_put_req(b, 8, 5, 500, budget);
+      const WireRequest r = decode_request(b);
+      EXPECT_EQ(r.id, 8u);
+      EXPECT_EQ(r.type, MsgType::kPutReq);
+      EXPECT_EQ(r.key, 5u);
+      EXPECT_EQ(r.value, 500u);
+      EXPECT_EQ(r.ttl_ns, 0u);
+      EXPECT_EQ(r.count, 0u);
+      EXPECT_EQ(r.budget_ns, budget);
+    }
+    {
+      PackBuffer b;
+      pack_erase_req(b, 9, 11, budget);
+      const WireRequest r = decode_request(b);
+      EXPECT_EQ(r.type, MsgType::kEraseReq);
+      EXPECT_EQ(r.key, 11u);
+      EXPECT_EQ(r.budget_ns, budget);
+    }
+    {
+      const std::uint64_t keys[] = {3, 1, 4, 1, 5};
+      PackBuffer b;
+      pack_get_many_req(b, 10, keys, 5, budget);
+      EXPECT_EQ(frame_len(b), kHeaderSize + 4 + 5 * 8 + 8);
+      const WireRequest r = decode_request(b);
+      EXPECT_EQ(r.id, 10u);
+      EXPECT_EQ(r.type, MsgType::kGetManyReq);
+      ASSERT_EQ(r.count, 5u);
+      for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(r.key_at(i), keys[i]);
+      EXPECT_EQ(r.budget_ns, budget);
+      // Empty batch is a legal frame: count 0, no keys, then the budget.
+      PackBuffer e;
+      pack_get_many_req(e, 11, nullptr, 0, budget);
+      const WireRequest re = decode_request(e);
+      EXPECT_EQ(re.type, MsgType::kGetManyReq);
+      EXPECT_EQ(re.count, 0u);
+      EXPECT_EQ(re.budget_ns, budget);
+    }
+    {
+      PackBuffer b;
+      pack_put_ttl_req(b, 30, 5, 500, 1'000'000, budget);
+      EXPECT_EQ(frame_len(b), kHeaderSize + 4 * 8);
+      const WireRequest r = decode_request(b);
+      EXPECT_EQ(r.type, MsgType::kPutTtlReq);
+      EXPECT_EQ(r.key, 5u);
+      EXPECT_EQ(r.value, 500u);
+      EXPECT_EQ(r.ttl_ns, 1'000'000u);
+      EXPECT_EQ(r.budget_ns, budget);
+    }
+    {
+      PackBuffer b;
+      pack_touch_req(b, 31, 9, 2'000'000, budget);
+      const WireRequest r = decode_request(b);
+      EXPECT_EQ(r.type, MsgType::kTouchReq);
+      EXPECT_EQ(r.key, 9u);
+      EXPECT_EQ(r.ttl_ns, 2'000'000u);
+      EXPECT_EQ(r.budget_ns, budget);
+    }
   }
 }
 
-TEST(Wire, ResponseBodiesRoundtrip) {
-  MsgHeader h;
-  ErrorCode err;
-  {
-    // Data responses lead with the u8 WireStatus.
-    PackBuffer b;
-    pack_get_resp(b, 1, true, 77);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kGetResp);
-    EXPECT_EQ(h.version, kVersion);
-    EXPECT_EQ(u.u8(), static_cast<std::uint8_t>(WireStatus::kOk));
-    EXPECT_EQ(u.u8(), 1u);
-    EXPECT_EQ(u.u64(), 77u);
-    EXPECT_TRUE(u.exhausted());
+TEST(Wire, EveryResponseRoundtripsThroughUnpackResponse) {
+  for (const bool hit : {false, true}) {
+    SCOPED_TRACE(hit ? "hit" : "miss");
+    {
+      PackBuffer b;
+      pack_get_resp(b, 1, hit, 77);
+      const Response r = decode_response(b);
+      EXPECT_EQ(r.id, 1u);
+      EXPECT_EQ(r.type, MsgType::kGetResp);
+      EXPECT_EQ(r.status, WireStatus::kOk);
+      EXPECT_EQ(r.found, hit);
+      EXPECT_EQ(r.value, hit ? 77u : 0u);
+    }
+    {
+      PackBuffer b;
+      pack_erase_resp(b, 3, hit);
+      const Response r = decode_response(b);
+      EXPECT_EQ(r.type, MsgType::kEraseResp);
+      EXPECT_EQ(r.erased, hit);
+    }
+    {
+      PackBuffer b;
+      pack_touch_resp(b, 4, hit);
+      const Response r = decode_response(b);
+      EXPECT_EQ(r.type, MsgType::kTouchResp);
+      EXPECT_EQ(r.touched, hit);
+    }
   }
   {
     PackBuffer b;
     pack_put_resp(b, 2);
     EXPECT_EQ(frame_len(b), kHeaderSize + 1);  // status byte only
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kPutResp);
-    EXPECT_EQ(u.u8(), static_cast<std::uint8_t>(WireStatus::kOk));
-    EXPECT_TRUE(u.exhausted());
-  }
-  {
-    PackBuffer b;
-    pack_erase_resp(b, 3, false);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kEraseResp);
-    EXPECT_EQ(u.u8(), static_cast<std::uint8_t>(WireStatus::kOk));
-    EXPECT_EQ(u.u8(), 0u);
-    EXPECT_TRUE(u.exhausted());
+    const Response r = decode_response(b);
+    EXPECT_EQ(r.id, 2u);
+    EXPECT_EQ(r.type, MsgType::kPutResp);
+    EXPECT_EQ(r.status, WireStatus::kOk);
   }
   {
     const std::optional<std::uint64_t> vals[] = {std::nullopt, 42};
     PackBuffer b;
     pack_get_many_resp(b, 6, vals, 2);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kGetManyResp);
-    EXPECT_EQ(u.u8(), static_cast<std::uint8_t>(WireStatus::kOk));
-    ASSERT_EQ(u.u32(), 2u);
-    EXPECT_EQ(u.u8(), 0u);
-    EXPECT_EQ(u.u64(), 0u);
-    EXPECT_EQ(u.u8(), 1u);
-    EXPECT_EQ(u.u64(), 42u);
-    EXPECT_TRUE(u.exhausted());
+    const Response r = decode_response(b);
+    EXPECT_EQ(r.type, MsgType::kGetManyResp);
+    ASSERT_EQ(r.values.size(), 2u);
+    EXPECT_FALSE(r.values[0].has_value());
+    EXPECT_EQ(r.values[1], std::optional<std::uint64_t>(42));
+    PackBuffer e;
+    pack_get_many_resp(e, 7, nullptr, 0);
+    EXPECT_TRUE(decode_response(e).values.empty());
   }
-  {
-    // Refusal frame: the would-be response type carrying just the non-kOk
-    // status — nothing was executed, so there is no payload.
-    PackBuffer b;
-    pack_status_resp(b, MsgType::kGetResp, 5, WireStatus::kShed);
-    EXPECT_EQ(frame_len(b), kHeaderSize + 1);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kGetResp);
-    EXPECT_EQ(u.u8(), static_cast<std::uint8_t>(WireStatus::kShed));
-    EXPECT_TRUE(u.exhausted());
+  // Refusals: the would-be response type carrying just the non-kOk status
+  // — nothing was executed, so there is no payload.
+  for (const WireStatus st :
+       {WireStatus::kShed, WireStatus::kShutdown, WireStatus::kDeadline}) {
+    for (const MsgType t : {MsgType::kGetResp, MsgType::kPutResp,
+                            MsgType::kEraseResp, MsgType::kGetManyResp,
+                            MsgType::kTouchResp}) {
+      SCOPED_TRACE("status " + std::to_string(static_cast<int>(st)) +
+                   " type " + std::to_string(static_cast<int>(t)));
+      PackBuffer b;
+      pack_status_resp(b, t, 5, st);
+      EXPECT_EQ(frame_len(b), kHeaderSize + 1);
+      const Response r = decode_response(b);
+      EXPECT_EQ(r.id, 5u);
+      EXPECT_EQ(r.type, t);
+      EXPECT_EQ(r.status, st);
+    }
   }
   {
     PackBuffer b;
     pack_error_resp(b, 4, ErrorCode::kUnknownType, "nope");
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kErrorResp);
-    EXPECT_EQ(u.u16(), static_cast<std::uint16_t>(ErrorCode::kUnknownType));
-    const std::uint16_t n = u.u16();
-    ASSERT_EQ(n, 4u);
-    const std::uint8_t* p = u.bytes(n);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(std::string(reinterpret_cast<const char*>(p), n), "nope");
-    EXPECT_TRUE(u.exhausted());
+    const Response r = decode_response(b);
+    EXPECT_EQ(r.id, 4u);
+    EXPECT_EQ(r.type, MsgType::kErrorResp);
+    EXPECT_EQ(r.error_code, ErrorCode::kUnknownType);
+    EXPECT_EQ(r.error_detail, "nope");
   }
 }
 
-TEST(Wire, DispatchTableFindsEveryRequestTypeAndRejectsOthers) {
-  using Handler = int;
-  const DispatchEntry<Handler> table[] = {
-      {MsgType::kGetReq, "get", 1},
-      {MsgType::kPutReq, "put", 2},
-      {MsgType::kEraseReq, "erase", 3},
-      {MsgType::kGetManyReq, "get_many", 4},
+TEST(Wire, UnpackResponseRejectsWhatNoServerSends) {
+  const auto rejects = [](std::vector<std::uint8_t> f) {
+    Response r;
+    return !unpack_response(f.data() + kFrameLenSize, f.size() - kFrameLenSize,
+                            &r);
   };
-  for (const MsgType t : {MsgType::kGetReq, MsgType::kPutReq,
-                          MsgType::kEraseReq, MsgType::kGetManyReq}) {
-    const auto* e = dispatch_lookup(table, t);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->type, t);
-  }
-  EXPECT_EQ(dispatch_lookup(table, MsgType::kGetResp), nullptr);
-  EXPECT_EQ(dispatch_lookup(table, static_cast<MsgType>(999)), nullptr);
+  PackBuffer refusal;
+  pack_status_resp(refusal, MsgType::kPutResp, 1, WireStatus::kShed);
+  std::vector<std::uint8_t> f = frame_bytes(refusal);
+  f.push_back(0);  // a refusal carries nothing after its status
+  fix_len(f);
+  EXPECT_TRUE(rejects(f));
+  PackBuffer req;
+  pack_get_req(req, 2, 3);
+  EXPECT_TRUE(rejects(frame_bytes(req)));  // a request is no response
+  const std::optional<std::uint64_t> vals[] = {1, 2};
+  PackBuffer many;
+  pack_get_many_resp(many, 3, vals, 2);
+  f = frame_bytes(many);
+  f[kFrameLenSize + kHeaderSize + 4] = 3;  // count 3, two entries
+  EXPECT_TRUE(rejects(f));
 }
 
-
-TEST(Wire, TtlRequestAndResponseBodiesRoundtrip) {
-  MsgHeader h;
-  ErrorCode err;
-  {
-    PackBuffer b;
-    pack_put_ttl_req(b, 30, 5, 500, 1'000'000);
-    EXPECT_EQ(frame_len(b), kHeaderSize + 4 * 8);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kPutTtlReq);
-    EXPECT_EQ(h.version, kVersion);
-    EXPECT_EQ(u.u64(), 5u);
-    EXPECT_EQ(u.u64(), 500u);
-    EXPECT_EQ(u.u64(), 1'000'000u);
-    EXPECT_EQ(u.u64(), 0u);
-    EXPECT_TRUE(u.exhausted());
-  }
-  {
-    PackBuffer b;
-    pack_touch_req(b, 31, 9, 2'000'000);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kTouchReq);
-    EXPECT_EQ(u.u64(), 9u);
-    EXPECT_EQ(u.u64(), 2'000'000u);
-    EXPECT_EQ(u.u64(), 0u);
-    EXPECT_TRUE(u.exhausted());
-  }
-  {
-    PackBuffer b;
-    pack_touch_resp(b, 32, true);
-    Unpacker u = payload_of(b);
-    ASSERT_TRUE(unpack_header(u, &h, &err));
-    EXPECT_EQ(h.type, MsgType::kTouchResp);
-    EXPECT_EQ(u.u8(), static_cast<std::uint8_t>(WireStatus::kOk));
-    EXPECT_EQ(u.u8(), 1u);
-    EXPECT_TRUE(u.exhausted());
+TEST(Wire, UnpackRequestRejectsTheBadFrameMatrixWithoutAllocating) {
+  const std::vector<BadFrame> frames = bad_request_frames();
+  ASSERT_EQ(frames.size(), 6u * 2 + 2 + 7);
+  for (const BadFrame& f : frames) {
+    SCOPED_TRACE(f.name);
+    WireRequest r;
+    ErrorCode err = ErrorCode::kBadMagic;
+    const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+    const bool ok = unpack_request(f.bytes.data() + kFrameLenSize,
+                                   f.bytes.size() - kFrameLenSize, &r, &err);
+    const std::size_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(err, f.code);
+    EXPECT_EQ(r.id, f.id);
+    EXPECT_EQ(allocs, 0u);
   }
 }
 
