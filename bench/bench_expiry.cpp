@@ -2,7 +2,8 @@
 // latency under expiry storms, with the shard lock as the column:
 //
 //   off             the identical op mix with the TTL coin unarmed: no
-//                   leases, no sweeps.  The read p50/p99 floor.
+//                   leases, so the armed sweep lane stays idle.  The
+//                   read p50/p99 floor.
 //   storm_batched   every put carries a ~2ms lease: the sweeper folds due
 //                   leases into few compare-and-erase write epochs per
 //                   node (expiry::kSweepBatch per batch).  The p99 gap
@@ -64,11 +65,11 @@ struct ArmResult {
   Summary read_lat;  // kGetBatch round trips only
 };
 
-// One arm over lock type L: a lease storm, or the same mix with expiry off.
+// One arm over lock type L: a lease storm, or the same mix with no leases.
+// Both run the default 1 ms wheel resolution.
 template <class L>
 ArmResult run_arm(BenchContext& ctx, bool storm) {
-  serve::ServeConfig scfg = serve::ServeConfig{}.with_workers(2);
-  if (storm) scfg.with_expiry(/*resolution_ns=*/1 * kMs);
+  const serve::ServeConfig scfg = serve::ServeConfig{}.with_workers(2);
   const Topology topo = Topology::simulated(kNodes, kCpusPerNode);
   serve::KvServer<L> server(topo, scfg);
 

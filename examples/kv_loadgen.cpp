@@ -10,11 +10,11 @@
 //                [--deadline <ms>] [--retries <n>]
 //
 // --ttl F M turns fraction F of the puts into TTL'd puts (kPutTtlReq)
-// with an M-millisecond lease — the expiry-storm driver for a
-// `kv_server --listen <port> 0 --expiry` server.  The op mix is seeded;
-// set BJRW_TEST_SEED to override the seed, so two runs (with or without
-// --ttl: the TTL coin has its own generator) replay the identical
-// kind/key stream.
+// with an M-millisecond lease, which turns a run into an expiry storm
+// against any `kv_server --listen` server (every server honours TTLs).
+// The op mix is seeded; set BJRW_TEST_SEED to override the seed, so two
+// runs (with or without --ttl: the TTL coin has its own generator)
+// replay the identical kind/key stream.
 //
 // --timeout M bounds each wire round trip at M milliseconds (a hung or
 // wedged server costs M, not forever); --deadline M attaches an M-ms

@@ -17,11 +17,14 @@
 //       port and prints it, and a port outside 0-65535 exits 2.
 //       admit_rate (finite, >= 0; 0 is off) arms the per-node token
 //       bucket (ops/s) so overload runs shed instead of queueing.
-//       --expiry arms the lease/TTL subsystem (src/expiry/): TTL'd puts
-//       (kPutTtlReq) schedule leases on the per-node timer wheels and the
-//       worker pools' sweep lane deletes them as they fall due.  Drive it
-//       with ./kv_loadgen <port> ... --ttl <fraction> <ttl_ms>.  Every
+//       Leases (src/expiry/) are always armed: TTL'd puts (kPutTtlReq)
+//       schedule leases on the per-node timer wheels and the worker pools'
+//       sweep lane deletes them as they fall due; --expiry sets the
+//       wheel's resolution (default 1 ms).  Drive them with
+//       ./kv_loadgen <port> ... --ttl <fraction> <ttl_ms>.  Every
 //       malformed number, and any argument past these, exits 2.
+//
+// Both modes print per-node serving and lease tables on exit.
 #include <csignal>
 #include <atomic>
 #include <chrono>
@@ -68,13 +71,11 @@ void print_node_stats(
                std::to_string(ns.preempt_aborts)});
   }
   t.print(std::cout);
-  if (!server.expiry_enabled()) return;
-  bjrw::Table e({"node", "leases_scheduled", "cancelled", "expired",
-                 "stale_skips", "sweep_batches"});
+  bjrw::Table e({"node", "leases_scheduled", "expired", "stale_skips",
+                 "sweep_batches"});
   for (int d = 0; d < server.node_count(); ++d) {
     const bjrw::serve::NodeServeStats ns = server.node_stats(d);
     e.add_row({std::to_string(d), std::to_string(ns.leases_scheduled),
-               std::to_string(ns.leases_cancelled),
                std::to_string(ns.leases_expired),
                std::to_string(ns.lease_stale_skips),
                std::to_string(ns.sweep_batches)});
@@ -109,10 +110,9 @@ int listen_mode(std::uint16_t port, double admit_rate,
             << " (" << kPreload << " keys preloaded";
   if (admit_rate > 0.0)
     std::cout << "; admission " << admit_rate << " ops/s/node";
-  if (server.expiry_enabled())
-    std::cout << "; expiry wheel resolution "
-              << static_cast<double>(expiry_resolution_ns) / 1e6 << " ms";
-  std::cout << "; Ctrl-C to stop)" << std::endl;
+  std::cout << "; expiry wheel resolution "
+            << static_cast<double>(cfg.expiry_resolution_ns) / 1e6
+            << " ms; Ctrl-C to stop)" << std::endl;
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
@@ -147,10 +147,11 @@ int main(int argc, char** argv) {
   using bjrw::examples::parse_port;
   if (argc > 1 && std::strcmp(argv[1], "--listen") == 0) {
     // Positionals [port] [admit_rate], then --expiry [resolution_ms]
-    // (default 1 ms; a non-positive value also means 1 ms) arms the lease
-    // subsystem; nothing may follow its value.  The wheel counts whole
-    // nanoseconds in a u64, so a resolution that is not a finite number,
-    // or one below 1 ns or past 2^64 ns, is refused rather than cast.
+    // (default 1 ms; a non-positive value also means 1 ms) sets the lease
+    // wheel's resolution; nothing may follow its value.  The wheel counts
+    // whole nanoseconds in a u64, so a resolution that is not a finite
+    // number, or one below 1 ns or past 2^64 ns, is refused rather than
+    // cast.
     const char* const kBadExpiry =
         "--expiry resolution_ms must be finite, at least 1 ns and below "
         "2^64 ns";

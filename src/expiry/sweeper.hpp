@@ -13,12 +13,11 @@
 // shape: per-item sweeps (one write epoch per expired key) never beat it
 // (DESIGN.md §8, V2).
 //
-// Correctness split between the two version checks:
-//   wheel-level   harvest drops leases superseded inside the wheel
-//                 (rescheduled or cancelled) — they never reach the map.
-//   map-level     erase_if_version drops sweeps racing a rewrite that
-//                 happened after harvest — the rewrite bumped the entry's
-//                 version, so the stale sweep is a no-op (`stale_skips`).
+// The one stale-lease guard is the map's: the wheel delivers every due
+// lease, including one whose key was since rewritten, touched or erased,
+// and erase_many_if_version compares each lease's version with the
+// entry's under the shard's write lock.  A superseded lease is a no-op
+// there, counted in `stale_skips`.
 //
 // Concurrency: any worker on the node may call poll(); a TTAS claim flag
 // elects one sweeper at a time, so the scratch buffers are plain members
@@ -56,8 +55,10 @@ class ExpirySweeper {
 
   // Maintenance-lane entry point.  Returns true if it swept anything (the
   // pool then treats the lane as "did work" and defers parking).
+  // An empty wheel costs one load: maybe_due reads the clock only when a
+  // lease is pending.
   bool poll(int tid) {
-    if (!wheel_.maybe_due(clock_.now_ns())) return false;
+    if (!wheel_.maybe_due(clock_)) return false;
     if (claim_.test_and_set()) return false;  // another worker is sweeping
     bool worked = false;
     do {

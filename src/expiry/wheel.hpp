@@ -20,16 +20,16 @@
 //     (they fall into lower levels or straight into the due queue).  Work
 //     is O(due + cascaded), independent of how far in the future the
 //     remaining population sits.
-//   - O(1) schedule/cancel: schedule appends to one bucket and updates the
-//     live-version index; cancel just drops the index entry — the dead
-//     lease stays in its bucket and is dropped at harvest when its version
-//     no longer matches (`stale_drops`).  Rescheduling a key overwrites
-//     the index entry the same way, so at most one version of a key is
-//     ever live.
+//   - O(1) schedule: schedule appends to one bucket.  The wheel keeps no
+//     per-key index: rescheduling a key leaves its older lease in place,
+//     and harvest delivers both.  Whether a delivered lease still guards
+//     its entry is the map's call alone — the sweep deletes through
+//     erase_many_if_version, which skips a superseded or erased key under
+//     the shard's write lock (DESIGN.md §13).
 //
 // Invariants (pinned by expiry_wheel_test; see DESIGN.md §13)
-//   conservation   scheduled == delivered + stale_drops + pending()
-//   totality       every scheduled lease is physically popped exactly once
+//   conservation   scheduled == delivered + pending()
+//   totality       every scheduled lease is delivered exactly once
 //   due order      harvest(now) returns no lease with deadline > now +
 //                  resolution, and — given a large enough `max` — every
 //                  pending lease with deadline <= now (floor-tick rounding
@@ -43,14 +43,16 @@
 // entries, the wheel is not on the measured hot path.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "src/harness/spin.hpp"
+#include "src/harness/timing.hpp"
 
 namespace bjrw::expiry {
 
@@ -62,7 +64,8 @@ struct WheelConfig {
 
 // One scheduled lease.  `version` is the ShardedMap lease version stamped
 // by put_versioned/touch_version; the sweep deletes through
-// erase_if_version so a rewrite after scheduling is never stale-deleted.
+// erase_many_if_version, so a rewrite after scheduling is never
+// stale-deleted.
 struct Lease {
   std::uint64_t key = 0;
   std::uint64_t version = 0;
@@ -70,12 +73,10 @@ struct Lease {
 };
 
 struct WheelStats {
-  std::uint64_t scheduled = 0;    // schedule() calls
-  std::uint64_t cancelled = 0;    // explicit cancel() hits
-  std::uint64_t delivered = 0;    // leases handed to the sweeper
-  std::uint64_t stale_drops = 0;  // popped with a superseded version
-  std::uint64_t cascades = 0;     // upper-level slots flushed downward
-  std::uint64_t pending = 0;      // still physically in buckets/due queue
+  std::uint64_t scheduled = 0;  // schedule() calls
+  std::uint64_t delivered = 0;  // leases handed to the sweeper
+  std::uint64_t cascades = 0;   // upper-level slots flushed downward
+  std::uint64_t pending = 0;    // still in buckets/due queue
 };
 
 class TimerWheel {
@@ -106,50 +107,29 @@ class TimerWheel {
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  // Schedule (or reschedule) the lease for `key`.  A newer schedule for
-  // the same key supersedes the older one: the old bucket entry becomes
-  // garbage that harvest drops by version mismatch.
+  // Schedule a lease.  Rescheduling a key adds a second lease; the older
+  // one still delivers, and the sweep's compare-and-erase skips it.
   void schedule(std::uint64_t key, std::uint64_t version,
                 std::uint64_t deadline_ns) {
     LockGuard g(lock_);
-    live_[key] = version;
     place(Lease{key, version, deadline_ns});
     ++scheduled_;
     ++pending_;
     cas_min_next_due(deadline_ns);
   }
 
-  // Drop the live lease for `key` (O(1): index erase only).  Returns true
-  // if a lease was live.  The bucket entry is dropped lazily at harvest.
-  bool cancel(std::uint64_t key) {
-    LockGuard g(lock_);
-    const bool hit = live_.erase(key) != 0;
-    if (hit) ++cancelled_;
-    return hit;
-  }
-
   // Advance the wheel to `now`, cascading lazily, and append up to `max`
-  // due live leases to `out`.  Superseded/cancelled entries are dropped
-  // (not counted against `max` --- a harvest under storm cancellation still
-  // makes progress).  Returns the number appended.
+  // due leases to `out`.  Returns the number appended.
   std::size_t harvest(std::uint64_t now_ns, std::vector<Lease>& out,
                       std::size_t max) {
     LockGuard g(lock_);
     advance(now_ns);
-    std::size_t appended = 0;
-    while (appended < max && due_head_ < due_.size()) {
-      const Lease& l = due_[due_head_++];
-      --pending_;
-      auto it = live_.find(l.key);
-      if (it != live_.end() && it->second == l.version) {
-        live_.erase(it);
-        out.push_back(l);
-        ++delivered_;
-        ++appended;
-      } else {
-        ++stale_drops_;
-      }
-    }
+    const std::size_t n = std::min(max, due_.size() - due_head_);
+    const auto first = due_.begin() + static_cast<std::ptrdiff_t>(due_head_);
+    out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+    due_head_ += n;
+    pending_ -= n;
+    delivered_ += n;
     due_backlog_.store(due_.size() - due_head_);
     if (due_head_ >= due_.size()) {
       due_.clear();
@@ -161,13 +141,16 @@ class TimerWheel {
     } else {
       next_due_.store(0);  // leftover backlog: immediately due
     }
-    return appended;
+    return n;
   }
 
-  // Lock-free hint for the sweeper's fast path: true when a harvest at
-  // `now` might deliver something.  False negatives last at most one tick.
-  bool maybe_due(std::uint64_t now_ns) const {
-    return next_due_.load() <= now_ns;
+  // Lock-free hint for the sweeper's fast path: true when a harvest now
+  // might deliver something.  The watermark is read first and the clock
+  // only when a lease is pending, so a poll of an empty wheel is one
+  // atomic load.  False negatives last at most one tick.
+  bool maybe_due(const ClockSource& clock) const {
+    const std::uint64_t next = next_due_.load();
+    return next != kNever && next <= clock.now_ns();
   }
 
   // Due-but-unharvested leases left behind by a max-limited harvest.
@@ -178,9 +161,7 @@ class TimerWheel {
     LockGuard g(lock_);
     WheelStats s;
     s.scheduled = scheduled_;
-    s.cancelled = cancelled_;
     s.delivered = delivered_;
-    s.stale_drops = stale_drops_;
     s.cascades = cascades_;
     s.pending = pending_;
     return s;
@@ -283,12 +264,9 @@ class TimerWheel {
   std::vector<Lease> due_;               // FIFO of popped-but-unreturned leases
   std::size_t due_head_ = 0;
   std::vector<Lease> cascade_scratch_;
-  std::unordered_map<std::uint64_t, std::uint64_t> live_;  // key -> version
 
   std::uint64_t scheduled_ = 0;
-  std::uint64_t cancelled_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t stale_drops_ = 0;
   std::uint64_t cascades_ = 0;
   std::uint64_t pending_ = 0;
 

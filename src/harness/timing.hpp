@@ -17,6 +17,15 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
+// The absolute time `delta_ns` after `now_ns`, saturating at the largest
+// u64 instead of wrapping into the past: a relative budget or TTL too
+// large for the clock means "never", not "already over".
+inline std::uint64_t deadline_after(std::uint64_t now_ns,
+                                    std::uint64_t delta_ns) {
+  const std::uint64_t kMax = ~std::uint64_t{0};
+  return delta_ns > kMax - now_ns ? kMax : now_ns + delta_ns;
+}
+
 // Clock seam: code whose *semantics* depend on time (lease deadlines, timer
 // wheel cascade, sweep pacing) reads it through a ClockSource handle so
 // tests can substitute a virtual clock and drive the choreography

@@ -441,8 +441,9 @@ class NetServer {
   // the ingest path).  The relative wire budget becomes an absolute
   // deadline on the KvServer's deadline clock here, at parse time, so
   // client budgets and the server's admission/dequeue checks share one
-  // timeline.  A put_ttl's TTL reaches the KvServer, which attaches the
-  // lease when expiry is enabled and stores a plain value otherwise.
+  // timeline; a budget past the clock's range saturates to no deadline
+  // rather than wrapping into the past.  A put_ttl's or touch's TTL
+  // reaches the KvServer, which attaches the lease.
   void stage(Connection& c, const WireRequest& r) {
     Slot* s = c.free_slots.back();
     c.free_slots.pop_back();
@@ -452,7 +453,8 @@ class NetServer {
     q.key = r.key;
     q.value = r.value;
     q.ttl_ns = r.ttl_ns;  // 0 unless put_ttl or touch: never a stale TTL
-    q.deadline_ns = r.budget_ns == 0 ? 0 : kv_.time_now_ns() + r.budget_ns;
+    q.deadline_ns =
+        r.budget_ns == 0 ? 0 : deadline_after(kv_.time_now_ns(), r.budget_ns);
     s->keys.resize(r.count);
     for (std::uint32_t i = 0; i < r.count; ++i) s->keys[i] = r.key_at(i);
     s->out.assign(r.count, std::nullopt);

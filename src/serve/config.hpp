@@ -74,9 +74,7 @@ struct ServeConfig {
   std::size_t admit_burst = 0;
 
   // ---- lease expiry (src/expiry/, DESIGN.md §13) ----------------------------
-  // Off by default: put_with_ttl/touch require expiry_enabled, and the map
-  // skips the read-path lease filter entirely when it is off.
-  bool expiry_enabled = false;
+  // Always armed: every server keeps one timer wheel per node.
   // Timer-wheel tick: leases may deliver up to one resolution early (floor
   // rounding) and one late (lazy cascade), never more.
   std::uint64_t expiry_resolution_ns = 1'000'000;  // 1ms
@@ -135,17 +133,14 @@ struct ServeConfig {
     admit_burst = bucket;
     return *this;
   }
-  // Arms the expiry subsystem at the given wheel resolution.
+  // Sets the timer wheel's resolution.
   ServeConfig& with_expiry(std::uint64_t resolution_ns) {
     if (resolution_ns == 0) fail("expiry_resolution_ns must be > 0");
-    expiry_enabled = true;
     expiry_resolution_ns = resolution_ns;
     return *this;
   }
   ServeConfig& with_expiry_wheel(std::size_t slots, int levels) {
-    if (slots < 2 || (slots & (slots - 1)) != 0)
-      fail("expiry_wheel_slots must be a power of two >= 2");
-    if (levels < 1 || levels > 8) fail("expiry_wheel_levels must be in [1, 8]");
+    check_wheel(slots, levels);
     expiry_wheel_slots = slots;
     expiry_wheel_levels = levels;
     return *this;
@@ -174,14 +169,8 @@ struct ServeConfig {
     check_capacity(queue_capacity);
     if (park_grace_ns == 0) fail("park_grace_ns must be > 0");
     check_admission(admit_rate, admit_burst);
-    if (expiry_enabled) {
-      if (expiry_resolution_ns == 0) fail("expiry_resolution_ns must be > 0");
-      if (expiry_wheel_slots < 2 ||
-          (expiry_wheel_slots & (expiry_wheel_slots - 1)) != 0)
-        fail("expiry_wheel_slots must be a power of two >= 2");
-      if (expiry_wheel_levels < 1 || expiry_wheel_levels > 8)
-        fail("expiry_wheel_levels must be in [1, 8]");
-    }
+    if (expiry_resolution_ns == 0) fail("expiry_resolution_ns must be > 0");
+    check_wheel(expiry_wheel_slots, expiry_wheel_levels);
     return *this;
   }
 
@@ -189,6 +178,11 @@ struct ServeConfig {
   static void check_capacity(std::size_t cap) {
     if (cap < 2 || cap > kMaxQueueCapacity)
       fail("queue_capacity must be in [2, the largest power of two]");
+  }
+  static void check_wheel(std::size_t slots, int levels) {
+    if (slots < 2 || (slots & (slots - 1)) != 0)
+      fail("expiry_wheel_slots must be a power of two >= 2");
+    if (levels < 1 || levels > 8) fail("expiry_wheel_levels must be in [1, 8]");
   }
   // A deeper bucket would wrap to a negative int64 cap that sheds
   // everything; a non-finite rate has no token arithmetic (NaN reads "off").

@@ -110,12 +110,11 @@ class NumaShardedMap {
                           const ClockSource* clock = nullptr)
       : topo_(topo),
         placement_(topo_, shards_per_node),
-        node_local_alloc_(node_local_alloc),
         max_threads_(topo_.cpu_count() < 1 ? 1 : topo_.cpu_count()) {
     const int nodes = topo_.node_count();
     submaps_.resize(static_cast<std::size_t>(nodes));
     const std::size_t spn = shards_per_node < 1 ? 1 : shards_per_node;
-    if (!node_local_alloc_) {
+    if (!node_local_alloc) {
       for (int d = 0; d < nodes; ++d)
         submaps_[idx(d)] = std::make_unique<SubMap>(max_threads_, spn, clock);
       return;
@@ -148,11 +147,8 @@ class NumaShardedMap {
 
   // ---- placement observers --------------------------------------------------
 
-  const Topology& topology() const { return topo_; }
-  const ShardPlacement& placement() const { return placement_; }
   int node_count() const { return topo_.node_count(); }
   int max_threads() const { return max_threads_; }
-  bool node_local_alloc() const { return node_local_alloc_; }
 
   int node_of_key(const Key& key) const {
     return placement_.node_of_shard(placement_.shard_of_hash(
@@ -167,30 +163,11 @@ class NumaShardedMap {
   std::optional<Value> get(int tid, const Key& key) const {
     return sub_map(node_of_key(key)).get(tid, key);
   }
-  bool contains(int tid, const Key& key) const {
-    return sub_map(node_of_key(key)).contains(tid, key);
-  }
   bool put(int tid, const Key& key, Value value) {
     return sub_map(node_of_key(key)).put(tid, key, std::move(value));
   }
   bool erase(int tid, const Key& key) {
     return sub_map(node_of_key(key)).erase(tid, key);
-  }
-
-  // Routed lease operations (see ShardedMap for semantics).  The expiry
-  // runtime (server.hpp) resolves the owning node once and goes through
-  // sub_map() directly; these are the direct-call conveniences.
-  std::uint64_t put_versioned(int tid, const Key& key, Value value,
-                              std::uint64_t expire_at_ns) {
-    return sub_map(node_of_key(key))
-        .put_versioned(tid, key, std::move(value), expire_at_ns);
-  }
-  std::optional<std::uint64_t> touch_version(int tid, const Key& key,
-                                             std::uint64_t expire_at_ns) {
-    return sub_map(node_of_key(key)).touch_version(tid, key, expire_at_ns);
-  }
-  bool erase_if_version(int tid, const Key& key, std::uint64_t version) {
-    return sub_map(node_of_key(key)).erase_if_version(tid, key, version);
   }
 
   // Groups `keys[0..n)` by owning node: `order` receives the key indices
@@ -266,7 +243,6 @@ class NumaShardedMap {
  private:
   const Topology topo_;
   ShardPlacement placement_;
-  bool node_local_alloc_;
   int max_threads_;
   Hash hash_;
   std::vector<std::unique_ptr<SubMap>> submaps_;

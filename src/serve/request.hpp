@@ -65,7 +65,7 @@ enum class RequestKind : std::uint8_t {
   kGetBatch,  // bulk lookup of keys[0..key_count)
   kPut,       // upsert key -> value (ttl_ns > 0 attaches a lease)
   kErase,     // remove key
-  kTouch,     // extend key's lease by ttl_ns (expiry-enabled servers only)
+  kTouch,     // extend key's lease to ttl_ns from execution
 };
 
 // One client request.  For kGet/kGetBatch the client points `keys` at its
@@ -81,7 +81,8 @@ struct Request {
   std::uint64_t key = 0;    // kPut/kErase/kTouch
   std::uint64_t value = 0;  // kPut
   // Lease TTL relative to execution time; 0 = no lease.  Read for kPut
-  // (put_with_ttl) and kTouch on expiry-enabled servers, ignored otherwise.
+  // (put_with_ttl) and kTouch.  A TTL past the clock's range saturates to
+  // a lease that never falls due.
   std::uint64_t ttl_ns = 0;
   // Absolute deadline against the server's ClockSource; 0 = none.  Checked
   // at the admission edge (refused with kDeadlineExceeded, nothing

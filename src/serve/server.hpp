@@ -66,11 +66,11 @@ struct NodeServeStats {
   std::uint64_t handoffs = 0;
   std::uint64_t global_acquires = 0;
   std::uint64_t preempt_aborts = 0;
-  // Lease expiry (src/expiry/; all 0 unless cfg.expiry_enabled).
+  // Lease expiry (src/expiry/): scheduled == expired + stale_skips + the
+  // wheel's pending leases.
   std::uint64_t leases_scheduled = 0;   // TTL puts + touches wheeled here
-  std::uint64_t leases_cancelled = 0;   // explicit cancels (erase of leased key)
   std::uint64_t leases_expired = 0;     // entries the sweep actually erased
-  std::uint64_t lease_stale_skips = 0;  // superseded leases dropped, wheel+map
+  std::uint64_t lease_stale_skips = 0;  // superseded leases the map skipped
   std::uint64_t sweep_batches = 0;      // harvest batches the sweeper ran
   // End-to-end deadlines: refusals at the admission edge vs slices whose
   // deadline expired while queued (dropped at dequeue, never executed).
@@ -86,10 +86,7 @@ class KvServer {
   explicit KvServer(const Topology& topo, ServeConfig cfg = {})
       : cfg_(cfg.validate()),
         clock_(cfg_.clock ? cfg_.clock : &SteadyClockSource::instance()),
-        // The map sees a clock only when expiry is armed, so its read-path
-        // lease filter stays off otherwise.
-        map_(topo, cfg_.shards_per_node, cfg_.node_local_alloc,
-             cfg_.expiry_enabled ? clock_ : nullptr),
+        map_(topo, cfg_.shards_per_node, cfg_.node_local_alloc, clock_),
         worker_stats_(std::make_unique<WorkerStats[]>(
             static_cast<std::size_t>(map_.max_threads()))),
         admit_(std::make_unique<AdmitState[]>(
@@ -234,9 +231,7 @@ class KvServer {
   }
 
   // Leased put: the entry expires ttl_ns after execution unless rewritten,
-  // touched, or erased first.  Requires cfg.expiry_enabled (a plain put is
-  // performed otherwise — the TTL is ignored, as it is for a kPutTtlReq
-  // sent to such a server).
+  // touched, or erased first.
   void put_with_ttl(std::uint64_t key, std::uint64_t value,
                     std::uint64_t ttl_ns) {
     Request r;
@@ -249,8 +244,8 @@ class KvServer {
   }
 
   // Extends `key`'s lease to ttl_ns from execution time without touching
-  // the value.  False when the key is absent, already lease-expired, or
-  // expiry is disabled (touch never resurrects).
+  // the value.  False when the key is absent or already lease-expired
+  // (touch never resurrects), or when ttl_ns is 0.
   bool touch(std::uint64_t key, std::uint64_t ttl_ns) {
     Request r;
     r.kind = RequestKind::kTouch;
@@ -323,7 +318,6 @@ class KvServer {
   int pinned_workers() const { return pool_.pinned_workers(); }
   int workers_per_node() const { return pool_.workers_per_node(); }
   int min_width() const { return pool_.min_width(); }
-  bool expiry_enabled() const { return cfg_.expiry_enabled; }
 
   // The node's counters; see the stats contract in the header comment.
   NodeServeStats node_stats(int node) const {
@@ -365,16 +359,9 @@ class KvServer {
         out.preempt_aborts += l.preempt_aborts();
       }
     }
-    if (!cfg_.expiry_enabled) return out;
-    const expiry::WheelStats w = wheels_[idx(node)]->stats();
-    out.leases_scheduled = w.scheduled;
-    out.leases_cancelled = w.cancelled;
+    out.leases_scheduled = wheels_[idx(node)]->stats().scheduled;
     out.leases_expired = sweepers_[idx(node)]->expired();
-    // Both guards defend the same invariant at different stages: the
-    // wheel drops superseded leases at harvest, the map's compare-and-
-    // erase drops sweeps racing a later rewrite.
-    out.lease_stale_skips =
-        w.stale_drops + sweepers_[idx(node)]->stale_skips();
+    out.lease_stale_skips = sweepers_[idx(node)]->stale_skips();
     out.sweep_batches = sweepers_[idx(node)]->sweep_batches();
     return out;
   }
@@ -410,12 +397,11 @@ class KvServer {
     std::atomic<std::uint64_t> deadline_refused{0};
   };
 
-  // One timer wheel + sweeper per node when expiry is armed (both vectors
-  // empty otherwise).  Built strictly before pool_ in declaration order —
-  // workers may run the maintenance lane the moment they spawn.
+  // One timer wheel + sweeper per node.  Built strictly before pool_ in
+  // declaration order — workers may run the maintenance lane the moment
+  // they spawn.
   std::vector<std::unique_ptr<expiry::TimerWheel>> make_wheels() {
     std::vector<std::unique_ptr<expiry::TimerWheel>> wheels;
-    if (!cfg_.expiry_enabled) return wheels;
     expiry::WheelConfig wc;
     wc.resolution_ns = cfg_.expiry_resolution_ns;
     wc.slots = cfg_.expiry_wheel_slots;
@@ -431,7 +417,6 @@ class KvServer {
   make_sweepers() {
     std::vector<std::unique_ptr<expiry::ExpirySweeper<typename Map::SubMap>>>
         sweepers;
-    if (!cfg_.expiry_enabled) return sweepers;
     sweepers.reserve(static_cast<std::size_t>(map_.node_count()));
     for (int d = 0; d < map_.node_count(); ++d)
       sweepers.push_back(
@@ -444,9 +429,8 @@ class KvServer {
   // poll — each node sweeps itself, plus any memory-only node whose
   // execution the pool routes here (same nearest-CPU rule as WorkerPool).
   std::vector<std::vector<int>> make_sweep_targets(const Topology& topo) {
-    std::vector<std::vector<int>> targets;
-    if (!cfg_.expiry_enabled) return targets;
-    targets.resize(static_cast<std::size_t>(topo.node_count()));
+    std::vector<std::vector<int>> targets(
+        static_cast<std::size_t>(topo.node_count()));
     for (int d = 0; d < topo.node_count(); ++d) {
       const int exec =
           topo.cpus_in_node(d) > 0 ? d : topo.nearest_cpu_node(d);
@@ -460,21 +444,17 @@ class KvServer {
   // low-priority maintenance lane.
   WorkerPool<SubRequest> make_pool(const Topology& topo,
                                    const ServeConfig& cfg) {
-    typename WorkerPool<SubRequest>::MaintenanceHandler maint;
-    if (cfg.expiry_enabled) {
-      maint = [this](int tid, int node) {
-        bool worked = false;
-        for (const int d : sweep_targets_[idx(node)])
-          worked = sweepers_[idx(d)]->poll(tid) || worked;
-        return worked;
-      };
-    }
     return WorkerPool<SubRequest>(
         topo, cfg,
         [this](int tid, int node, SubRequest* items, std::size_t n) {
           execute_burst(tid, node, items, n);
         },
-        std::move(maint));
+        [this](int tid, int node) {
+          bool worked = false;
+          for (const int d : sweep_targets_[idx(node)])
+            worked = sweepers_[idx(d)]->poll(tid) || worked;
+          return worked;
+        });
   }
 
   int dispatch_node(int owner) {
@@ -586,13 +566,14 @@ class KvServer {
     if (drop_if_expired(ws, req)) return;
     switch (req->kind) {
       case RequestKind::kPut:
-        if (cfg_.expiry_enabled && req->ttl_ns > 0) {
+        if (req->ttl_ns > 0) {
           // Map first, wheel second: a lease is scheduled only after the
           // versioned entry it guards is visible.  Out-of-order schedules
           // from racing TTL puts are benign — the sweep's compare-and-
           // erase defers to the entry's (lock-ordered) version, and the
           // read-path filter enforces the entry's own deadline either way.
-          const std::uint64_t deadline = clock_->now_ns() + req->ttl_ns;
+          const std::uint64_t deadline =
+              deadline_after(clock_->now_ns(), req->ttl_ns);
           const std::uint64_t ver = map_.sub_map(s.owner).put_versioned(
               tid, req->key, req->value, deadline);
           wheels_[idx(s.owner)]->schedule(req->key, ver, deadline);
@@ -602,8 +583,9 @@ class KvServer {
         single_writer_add(ws.ops);
         break;
       case RequestKind::kTouch:
-        if (cfg_.expiry_enabled && req->ttl_ns > 0) {
-          const std::uint64_t deadline = clock_->now_ns() + req->ttl_ns;
+        if (req->ttl_ns > 0) {
+          const std::uint64_t deadline =
+              deadline_after(clock_->now_ns(), req->ttl_ns);
           if (const auto ver = map_.sub_map(s.owner).touch_version(
                   tid, req->key, deadline)) {
             wheels_[idx(s.owner)]->schedule(req->key, *ver, deadline);
@@ -613,9 +595,9 @@ class KvServer {
         single_writer_add(ws.ops);
         break;
       case RequestKind::kErase:
+        // A lease on the key stays scheduled; the sweep skips it.
         if (map_.erase(tid, req->key))
           req->hits.fetch_add(1, std::memory_order_relaxed);
-        if (cfg_.expiry_enabled) wheels_[idx(s.owner)]->cancel(req->key);
         single_writer_add(ws.ops);
         break;
       case RequestKind::kGet: {
@@ -711,8 +693,8 @@ class KvServer {
   Map map_;
   std::unique_ptr<WorkerStats[]> worker_stats_;  // indexed by pool tid
   std::unique_ptr<AdmitState[]> admit_;          // indexed by node
-  // Expiry state, one per node; empty vectors when expiry is off.  Declared
-  // before pool_: workers poll the sweepers from the maintenance lane.
+  // Expiry state, one per node.  Declared before pool_: workers poll the
+  // sweepers from the maintenance lane.
   std::vector<std::unique_ptr<expiry::TimerWheel>> wheels_;
   std::vector<std::unique_ptr<expiry::ExpirySweeper<typename Map::SubMap>>>
       sweepers_;

@@ -67,7 +67,6 @@ TEST(ExpiryServe, ConfigValidatesExpiryKnobs) {
   EXPECT_THROW(ServeConfig{}.with_expiry_wheel(16, 0), std::invalid_argument);
   // Direct field assignment hits the same gate at server construction.
   ServeConfig cfg;
-  cfg.expiry_enabled = true;
   cfg.expiry_wheel_slots = 7;
   EXPECT_THROW(Server(Topology::simulated(1, 2), cfg), std::invalid_argument);
 }
@@ -143,40 +142,81 @@ TEST(ExpiryServe, TouchExtendsButNeverResurrects) {
   server.shutdown();
 }
 
-TEST(ExpiryServe, EraseCancelsTheScheduledLease) {
+TEST(ExpiryServe, EraseThenReLeaseSkipsTheErasedLease) {
   VirtualClock clock(1'000 * kMs);
   Server server(Topology::simulated(2, 4), expiry_config(&clock));
 
+  // Erase leaves the 10ms lease in the wheel; the re-lease stamps a newer
+  // version, so the old lease must not delete the new entry when it falls
+  // due.
   server.put_with_ttl(11, 1, 10 * kMs);
   EXPECT_TRUE(server.erase(11));
-  EXPECT_EQ(sum_nodes(server,
-                      [](const NodeServeStats& s) { return s.leases_cancelled; }),
-            1u);
-  clock.advance(100 * kMs);
-  // The cancelled lease never delivers: no expiry, just a lazy stale drop.
+  server.put_with_ttl(11, 2, 50 * kMs);
+
+  clock.advance(20 * kMs);  // past the erased lease, inside the new one
   EXPECT_TRUE(eventually([&] {
     return sum_nodes(server, [](const NodeServeStats& s) {
              return s.lease_stale_skips;
            }) >= 1;
   }));
+  EXPECT_EQ(server.get(11).value_or(0), 2u);
   EXPECT_EQ(sum_nodes(server,
                       [](const NodeServeStats& s) { return s.leases_expired; }),
             0u);
+
+  clock.advance(40 * kMs);  // past the new lease
+  EXPECT_FALSE(server.get(11).has_value());
+  EXPECT_TRUE(eventually([&] {
+    return sum_nodes(server, [](const NodeServeStats& s) {
+             return s.leases_expired;
+           }) == 1;
+  }));
+  EXPECT_EQ(server.map().size(), 0u);
   server.shutdown();
 }
 
-TEST(ExpiryServe, TtlIsIgnoredWhenExpiryIsDisabled) {
+TEST(ExpiryServe, DefaultConfigHonoursTtlAndTouch) {
   VirtualClock clock(1'000 * kMs);
-  Server server(Topology::simulated(2, 4), ServeConfig{}.with_workers(2));
-  ASSERT_FALSE(server.expiry_enabled());
+  Server server(Topology::simulated(2, 4), ServeConfig{}.with_clock(&clock));
 
-  server.put_with_ttl(3, 30, 1);  // degrades to a plain put
-  clock.advance(1'000'000 * kMs);
-  EXPECT_EQ(server.get(3).value_or(0), 30u);  // never expires
-  EXPECT_FALSE(server.touch(3, kMs));         // touch requires expiry
+  server.put_with_ttl(3, 30, 10 * kMs);
+  EXPECT_TRUE(server.touch(3, 20 * kMs));
+  clock.advance(15 * kMs);  // past the put's lease, inside the touch's
+  EXPECT_EQ(server.get(3).value_or(0), 30u);
+  clock.advance(10 * kMs);  // past the touch's lease
+  EXPECT_FALSE(server.get(3).has_value());
+  EXPECT_FALSE(server.touch(3, kMs));
+
+  // Both leases deliver: the put's is skipped (the touch bumped the
+  // version), the touch's expires the entry.
   EXPECT_EQ(sum_nodes(server,
                       [](const NodeServeStats& s) { return s.leases_scheduled; }),
-            0u);
+            2u);
+  EXPECT_TRUE(eventually([&] {
+    return sum_nodes(server, [](const NodeServeStats& s) {
+             return s.leases_expired + s.lease_stale_skips;
+           }) == 2;
+  }));
+  EXPECT_EQ(sum_nodes(server,
+                      [](const NodeServeStats& s) { return s.leases_expired; }),
+            1u);
+  EXPECT_EQ(server.map().size(), 0u);
+  server.shutdown();
+}
+
+TEST(ExpiryServe, HugeTtlSaturatesToALeaseThatNeverFallsDue) {
+  // execution time + TTL must saturate, not wrap: wrapped, a TTL near
+  // 2^64 puts the deadline in the past and the key expires at once.
+  VirtualClock clock(1'000 * kMs);
+  Server server(Topology::simulated(2, 4), expiry_config(&clock));
+
+  server.put_with_ttl(13, 130, ~std::uint64_t{0});
+  EXPECT_EQ(server.get(13).value_or(0), 130u);
+  clock.advance(1'000'000 * kMs);
+  EXPECT_EQ(server.get(13).value_or(0), 130u);
+  EXPECT_TRUE(server.touch(13, ~std::uint64_t{0}));
+  clock.advance(1'000'000 * kMs);
+  EXPECT_EQ(server.get(13).value_or(0), 130u);
   server.shutdown();
 }
 

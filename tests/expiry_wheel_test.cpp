@@ -1,10 +1,10 @@
 // Tier-1 suite for the hierarchical hashed timer wheel (src/expiry/
 // wheel.hpp), pinning the invariants DESIGN.md §13 documents:
 //
-//   conservation   scheduled == delivered + stale_drops + pending
-//   totality       every scheduled lease is popped exactly once, even when
-//                  deadlines land beyond the top level's span (clamp +
-//                  repeated cascade)
+//   conservation   scheduled == delivered + pending
+//   totality       every scheduled lease is delivered exactly once, even
+//                  when deadlines land beyond the top level's span (clamp
+//                  + repeated cascade)
 //   due order      harvest(now) never returns a lease more than one
 //                  resolution early, and with enough `max` returns every
 //                  pending lease with deadline <= now
@@ -79,47 +79,60 @@ TEST(ExpiryWheel, ScheduleThenHarvestAtDeadline) {
 
 TEST(ExpiryWheel, MaybeDueHintTracksNextDeadline) {
   TimerWheel w(small_cfg(), 0);
-  EXPECT_FALSE(w.maybe_due(1'000'000));  // empty wheel: never due
+  EXPECT_FALSE(w.maybe_due(VirtualClock(1'000'000)));  // empty: never due
   w.schedule(1, 1, 5 * kRes);
-  EXPECT_FALSE(w.maybe_due(4 * kRes - 1));
-  EXPECT_TRUE(w.maybe_due(5 * kRes));
+  EXPECT_FALSE(w.maybe_due(VirtualClock(4 * kRes - 1)));
+  EXPECT_TRUE(w.maybe_due(VirtualClock(5 * kRes)));
   std::vector<Lease> out;
   w.harvest(5 * kRes, out, 100);
   EXPECT_EQ(out.size(), 1u);
-  EXPECT_FALSE(w.maybe_due(6 * kRes));  // drained again
+  EXPECT_FALSE(w.maybe_due(VirtualClock(6 * kRes)));  // drained again
 }
 
-TEST(ExpiryWheel, CancelDropsLeaseAndCountsStale) {
+// The sweeper's idle poll: with no lease pending, maybe_due answers from
+// the watermark alone and never reads the clock.
+TEST(ExpiryWheel, EmptyWheelMaybeDueReadsNoClock) {
+  struct CountingClock final : ClockSource {
+    mutable int reads = 0;
+    std::uint64_t now_ns() const override {
+      ++reads;
+      return 5 * kRes;
+    }
+  } clock;
   TimerWheel w(small_cfg(), 0);
-  w.schedule(7, 3, 4 * kRes);
-  EXPECT_TRUE(w.cancel(7));
-  EXPECT_FALSE(w.cancel(7));  // already gone
+  EXPECT_FALSE(w.maybe_due(clock));
+  EXPECT_EQ(clock.reads, 0);
+  w.schedule(1, 1, 5 * kRes);
+  EXPECT_TRUE(w.maybe_due(clock));
+  EXPECT_EQ(clock.reads, 1);
   std::vector<Lease> out;
-  EXPECT_EQ(w.harvest(10 * kRes, out, 100), 0u);
-  const WheelStats s = w.stats();
-  EXPECT_EQ(s.cancelled, 1u);
-  EXPECT_EQ(s.stale_drops, 1u);  // the bucket entry was popped and dropped
-  EXPECT_EQ(s.delivered, 0u);
-  EXPECT_EQ(s.pending, 0u);
-  // Conservation.
-  EXPECT_EQ(s.scheduled, s.delivered + s.stale_drops + s.pending);
+  EXPECT_EQ(w.harvest(5 * kRes, out, 100), 1u);
+  clock.reads = 0;
+  EXPECT_FALSE(w.maybe_due(clock));  // drained: back to never due
+  EXPECT_EQ(clock.reads, 0);
 }
 
-TEST(ExpiryWheel, RescheduleSupersedesOlderVersion) {
+// The wheel keeps no per-key index: a rescheduled key delivers both of
+// its leases, each at its own deadline, and the map's compare-and-erase
+// decides which one still guards the entry.
+TEST(ExpiryWheel, RescheduledKeyDeliversBothLeases) {
   TimerWheel w(small_cfg(), 0);
   w.schedule(9, 1, 3 * kRes);
   w.schedule(9, 2, 8 * kRes);  // rewrite with a later deadline
   std::vector<Lease> out;
-  // At the first deadline only the superseded entry pops — dropped stale.
-  EXPECT_EQ(w.harvest(3 * kRes, out, 100), 0u);
-  // At the second deadline the live version delivers.
-  EXPECT_EQ(w.harvest(8 * kRes, out, 100), 1u);
+  EXPECT_EQ(w.harvest(3 * kRes, out, 100), 1u);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].version, 2u);
-  const WheelStats s = w.stats();
+  EXPECT_EQ(out[0].version, 1u);
+  WheelStats s = w.stats();
+  EXPECT_EQ(s.scheduled, s.delivered + s.pending);
+  EXPECT_EQ(s.pending, 1u);
+  EXPECT_EQ(w.harvest(8 * kRes, out, 100), 1u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].key, 9u);
+  EXPECT_EQ(out[1].version, 2u);
+  s = w.stats();
   EXPECT_EQ(s.scheduled, 2u);
-  EXPECT_EQ(s.delivered, 1u);
-  EXPECT_EQ(s.stale_drops, 1u);
+  EXPECT_EQ(s.delivered, 2u);
   EXPECT_EQ(s.pending, 0u);
 }
 
@@ -129,24 +142,10 @@ TEST(ExpiryWheel, MaxLimitedHarvestLeavesMeasurableBacklog) {
   std::vector<Lease> out;
   EXPECT_EQ(w.harvest(2 * kRes, out, 5), 5u);
   EXPECT_EQ(w.due_backlog(), 15u);
-  EXPECT_TRUE(w.maybe_due(2 * kRes));  // leftover backlog is due now
+  EXPECT_TRUE(w.maybe_due(VirtualClock(2 * kRes)));  // leftover: due now
   EXPECT_EQ(w.harvest(2 * kRes, out, 100), 15u);
   EXPECT_EQ(w.due_backlog(), 0u);
   EXPECT_EQ(out.size(), 20u);
-}
-
-TEST(ExpiryWheel, StaleDropsDoNotCountAgainstMax) {
-  TimerWheel w(small_cfg(), 0);
-  // 10 cancelled leases in front of 3 live ones, all in the same tick.
-  for (std::uint64_t k = 0; k < 10; ++k) w.schedule(k, 1, 2 * kRes);
-  for (std::uint64_t k = 0; k < 10; ++k) w.cancel(k);
-  for (std::uint64_t k = 100; k < 103; ++k) w.schedule(k, 1, 2 * kRes);
-  std::vector<Lease> out;
-  // max=3 must still deliver all 3 live leases in one call: the 10 stale
-  // entries are drained for free, or a cancellation storm would starve
-  // the sweep.
-  EXPECT_EQ(w.harvest(2 * kRes, out, 3), 3u);
-  EXPECT_EQ(out.size(), 3u);
 }
 
 // Totality + conservation under random deadlines spanning every level,
@@ -183,12 +182,11 @@ TEST(ExpiryWheel, CascadeTotalityAndConservationUnderRandomLoad) {
     for (const auto& [key, deadline] : want)
       EXPECT_GT(deadline, now) << "key " << key << " overdue yet undelivered";
     const WheelStats s = w.stats();
-    EXPECT_EQ(s.scheduled, s.delivered + s.stale_drops + s.pending);
+    EXPECT_EQ(s.scheduled, s.delivered + s.pending);
   }
   const WheelStats s = w.stats();
   EXPECT_EQ(s.delivered, kLeases);
   EXPECT_EQ(s.pending, 0u);
-  EXPECT_EQ(s.stale_drops, 0u);
   EXPECT_GT(s.cascades, 0u);  // the load actually exercised the hierarchy
 }
 
@@ -218,7 +216,7 @@ TEST(ExpiryWheel, PastDeadlinesAreImmediatelyDue) {
   TimerWheel w(small_cfg(), /*start_ns=*/1'000'000);
   w.schedule(5, 1, 0);        // long before start
   w.schedule(6, 1, 999'999);  // just before start
-  EXPECT_TRUE(w.maybe_due(1'000'000));
+  EXPECT_TRUE(w.maybe_due(VirtualClock(1'000'000)));
   std::vector<Lease> out;
   EXPECT_EQ(w.harvest(1'000'000, out, 10), 2u);
 }

@@ -576,5 +576,21 @@ TEST(NetFault, HugeOpTimeoutMeansNoDeadlineNotAnExpiredOne) {
   EXPECT_EQ(c->last_error(), ClientError::kNone);
 }
 
+TEST(NetFault, HugeDeadlineBudgetMeansNoDeadlineNotAnExpiredOne) {
+  // The server's side of the same bar: a wire budget too large to add to
+  // the server clock must saturate to no deadline.  Wrapped, it lands in
+  // the past and the admission edge refuses every request kDeadline.
+  Loopback lb;
+  ASSERT_TRUE(lb.net.ok());
+  ClientConfig cfg;
+  cfg.deadline_budget_ns = ~std::uint64_t{0};
+  cfg.retry.max_attempts = 1;
+  auto c = KvClient::connect(lb.net.port(), cfg);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_TRUE(c->put(4, 40));
+  EXPECT_EQ(c->get(4).value_or(0), 40u);
+  EXPECT_EQ(c->last_error(), ClientError::kNone);
+}
+
 }  // namespace
 }  // namespace bjrw::net

@@ -365,11 +365,10 @@ TEST(NetLoopback, ConcurrentClientsSeeEachOthersWrites) {
 }
 
 TEST(NetLoopback, TtlPutAndTouchRoundtripOverTheWire) {
-  // An expiry-enabled server: put_ttl answers with a
-  // plain kPutResp, touch with kTouchResp, and a short lease actually
-  // expires (real steady clock; generous poll window).
-  Loopback lb(
-      Loopback::server_config().with_expiry(/*resolution_ns=*/1'000'000));
+  // Every server honours leases, so the default test server does: put_ttl
+  // answers with a plain kPutResp, touch with kTouchResp, and a short
+  // lease actually expires (real steady clock; generous poll window).
+  Loopback lb;
   ASSERT_TRUE(lb.net.ok());
   KvClient c = lb.client();
 
@@ -396,7 +395,7 @@ TEST(NetLoopback, EveryOpTypeRoundTripsWithAndWithoutBudget) {
   // The whole request vocabulary against one server: point ops, TTL'd put
   // and touch, then the same ops from a client whose every frame carries a
   // deadline budget.
-  Loopback lb(Loopback::server_config().with_expiry(1'000'000));
+  Loopback lb;
   ASSERT_TRUE(lb.net.ok());
   KvClient c = lb.client();
   constexpr std::uint64_t kKey = 1000;

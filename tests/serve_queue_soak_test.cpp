@@ -563,12 +563,12 @@ TEST(ServeQueueSoak, ElasticAdmissionShutdownRaceStrandsNothing) {
 
 TEST(ServeQueueSoak, NodeStatsPolledLiveAreMonotoneAndExactAfterShutdown) {
   // One thread polls node_stats() on every node while submitters run
-  // batched gets, point puts and TTL puts (expiry on, so the sweep lane
-  // races too).  Every counter must be monotone between polls; once the
-  // traffic has completed the request and op counts are exact.
+  // batched gets, point puts and TTL puts (so the sweep lane races too).
+  // Every counter must be monotone between polls; once the traffic has
+  // completed the request and op counts are exact.
   const Topology topo = Topology::simulated(2, 4);
-  KvServer<CohortWriterPriorityLock> server(
-      topo, ServeConfig{}.with_workers(2).with_expiry(/*1 ms*/ 1'000'000));
+  KvServer<CohortWriterPriorityLock> server(topo,
+                                            ServeConfig{}.with_workers(2));
   for (std::uint64_t k = 0; k < 512; ++k) server.map().put(0, k, k);
 
   using Counter = std::uint64_t NodeServeStats::*;
@@ -579,10 +579,9 @@ TEST(ServeQueueSoak, NodeStatsPolledLiveAreMonotoneAndExactAfterShutdown) {
       &NodeServeStats::shed,             &NodeServeStats::parks,
       &NodeServeStats::wakes,            &NodeServeStats::handoffs,
       &NodeServeStats::global_acquires,  &NodeServeStats::preempt_aborts,
-      &NodeServeStats::leases_scheduled, &NodeServeStats::leases_cancelled,
-      &NodeServeStats::leases_expired,   &NodeServeStats::lease_stale_skips,
-      &NodeServeStats::sweep_batches,    &NodeServeStats::deadline_refused,
-      &NodeServeStats::deadline_drops};
+      &NodeServeStats::leases_scheduled, &NodeServeStats::leases_expired,
+      &NodeServeStats::lease_stale_skips, &NodeServeStats::sweep_batches,
+      &NodeServeStats::deadline_refused, &NodeServeStats::deadline_drops};
   const auto nodes = static_cast<std::size_t>(server.node_count());
   // Field-wise a <= b, latency max included (the mean is a ratio of two
   // separately read counters, so it may move either way).
